@@ -18,14 +18,15 @@ from .solver import (OracleResult, QuantizedStrategySet, SolveResult,
                      enumerate_quantized_strategies, enumerate_theta,
                      max_flow_assign, ptas_solve, solve_escalating)
 from .sumdist import (RegretReport, SumDistribution, expected_utility,
-                      regret_profile, sum_distribution, tv_distance)
+                      poisson_binomial_pmf, regret_profile, sum_distribution,
+                      tv_distance)
 from .tdp import (TdpNode, TdpTree, build_tdp_tree, cell_signature,
                   classify_leaf, floor_root_power, format_tree,
                   reconstruct_distribution, sample_strategy)
 from .tvlab import (BoundCheck, TvExperimentRow, discretization_tv,
                     mix_trial_seed, n_independence_experiment,
-                    poisson_binomial_pmf, poisson_poisson_tv_check,
-                    poisson_tv_check, rows_to_csv, translated_poisson_tv_check)
+                    poisson_poisson_tv_check, poisson_tv_check, rows_to_csv,
+                    translated_poisson_tv_check)
 
 __version__ = "0.1.0"
 

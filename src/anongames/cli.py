@@ -81,10 +81,10 @@ def cmd_solve(args) -> int:
         raise SystemExit2(f"z must be >= 1, got {args.z}")
     game = parse_game(_read(args.game))
     if args.escalate:
-        result = solve_escalating(game, eps, args.z, alpha=args.alpha,
-                                  budget=args.budget, jobs=args.jobs)
+        result = solve_escalating(game, eps, args.z, budget=args.budget,
+                                  jobs=args.jobs)
     else:
-        result = ptas_solve(game, eps, args.z, alpha=args.alpha, jobs=args.jobs)
+        result = ptas_solve(game, eps, args.z, jobs=args.jobs)
     if result is None or result.profile is None:
         print(f"solve: no feasible strategy split at z={args.z}; nothing certified")
         return 1
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, default=DEFAULT_ALPHA)
     p.add_argument("--escalate", action="store_true",
                    help="double z and retry until certified or out of budget")
     p.add_argument("--budget", type=float, default=None,

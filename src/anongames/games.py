@@ -34,7 +34,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("bool is not a probability/utility value")
     if isinstance(value, (int, float, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"cannot interpret {value!r} as a rational: {exc}") from exc
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -129,10 +132,6 @@ class AnonymousGame:
             coerced.append(tuple(rows))
         object.__setattr__(self, "utilities", tuple(coerced))
 
-    @property
-    def table_size(self) -> int:
-        return partition_count(self.n - 1, self.k)
-
     def utility(self, player: int, strategy: int, partition: Sequence[int]) -> Fraction:
         rank = partition_rank(partition, m=self.n - 1, k=self.k)
         return self.utilities[player][strategy][rank]
@@ -220,9 +219,9 @@ def parse_profile(data: bytes | str) -> MixedProfile:
     if not isinstance(obj, dict) or not {"n", "k", "probs"} <= set(obj):
         raise GameFormatError("malformed profile file: need keys n, k, probs")
     probs = obj["probs"]
-    if len(probs) != obj["n"] or any(len(r) != obj["k"] for r in probs):
-        raise GameFormatError("malformed profile file: probs shape disagrees with n, k")
     try:
+        if len(probs) != obj["n"] or any(len(r) != obj["k"] for r in probs):
+            raise GameFormatError("malformed profile file: probs shape disagrees with n, k")
         return MixedProfile(probs=probs)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, GameFormatError):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import GameFormatError
 from .games import as_fraction
 from .guards import check_guard
-from .tvlab import poisson_binomial_pmf
+from .sumdist import poisson_binomial_pmf
 
 _CHUNK = 65536
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import GuardExceeded
 from .games import (AnonymousGame, MixedProfile, as_fraction,
                     enumerate_partitions, partition_count, partition_rank)
 from .guards import check_guard
-from .sumdist import regret_profile, sum_distribution
+from .sumdist import payoff_rows, regret_profile, sum_distribution
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,6 @@ def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
     return rec(n, num_strategies)
 
 
-def _payoff_rows(game: AnonymousGame, opponents: Sequence) -> list:
-    """payoffs[p][s]: expected utility of each pure strategy s for each
-    player p against a fixed list of opponent mixed strategies."""
-    dist = sum_distribution(opponents, k=game.k, exact=True)
-    return [[sum(u * m for u, m in zip(game.utilities[p][s], dist.mass))
-             for s in range(game.k)] for p in range(game.n)]
-
-
 def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
                         theta: Sequence[int], delta) -> list[list[int]]:
     """Adjacency lists of the assignment graph: player i may take strategy
@@ -105,7 +98,8 @@ def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
         for tau_idx, tau_count in enumerate(theta):
             copies = tau_count - (1 if tau_idx == sigma_idx else 0)
             opponents.extend([strat_set.strategies[tau_idx]] * copies)
-        payoffs = _payoff_rows(game, opponents)
+        dist = sum_distribution(opponents, k=game.k, exact=True)
+        payoffs = payoff_rows(game, dist, range(game.n))
         support = [s for s in range(game.k) if sigma[s] > 0]
         for p in range(game.n):
             best = max(payoffs[p])
@@ -184,94 +178,80 @@ class SolveResult:
     epsilon: Fraction
 
 
-def _evaluate_theta(game, strat_set, theta, epsilon):
-    edges = best_response_edges(game, strat_set, theta, epsilon)
-    if any(not e for e in edges):
-        return None
-    assignment = max_flow_assign(edges, theta, game.n)
-    if assignment is None:
-        return None
-    profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
-    report = regret_profile(game, profile)
-    return profile, report
+def _hits(game, strat_set, indexed, epsilon):
+    """(idx, theta, profile, support gap, approx regret) for each indexed
+    split whose assignment graph has a perfect flow, lazily, in input order."""
+    for idx, theta in indexed:
+        edges = best_response_edges(game, strat_set, theta, epsilon)
+        if any(not e for e in edges):
+            continue
+        assignment = max_flow_assign(edges, theta, game.n)
+        if assignment is None:
+            continue
+        profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
+        report = regret_profile(game, profile)
+        yield idx, theta, profile, report.max_support_gap, report.max_approx_regret
 
 
 def _theta_block_worker(args):
-    game, strat_set, thetas, epsilon = args
-    out = []
-    for idx, theta in thetas:
-        hit = _evaluate_theta(game, strat_set, theta, epsilon)
-        if hit is not None:
-            profile, report = hit
-            out.append((idx, theta, profile, report.max_support_gap,
-                        report.max_approx_regret))
-    return out
+    return list(_hits(*args))
 
 
-def ptas_solve(game: AnonymousGame, epsilon, z: int, alpha=None,
-               jobs: int = 1) -> SolveResult:
+def _feasible_splits(game, strat_set, epsilon, jobs):
+    """The hits of every split in lex order: evaluated lazily in this
+    process, or in blocks of splits over `jobs` worker processes."""
+    indexed = enumerate(enumerate_theta(game.n, len(strat_set)))
+    if jobs == 1:
+        yield from _hits(game, strat_set, indexed, epsilon)
+        return
+    block_size = 256
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        while True:
+            while len(pending) < jobs * 2:
+                block = list(islice(indexed, block_size))
+                if not block:
+                    break
+                pending.append(pool.submit(
+                    _theta_block_worker, (game, strat_set, block, epsilon)))
+            if not pending:
+                return
+            yield from pending.popleft().result()
+
+
+def ptas_solve(game: AnonymousGame, epsilon, z: int, jobs: int = 1) -> SolveResult:
     """Search all player splits over the quantized strategies for the first
     (lex order) certified epsilon-Nash profile.
 
     delta for edge construction equals epsilon; certification is the exact
     support gap, so soundness never leans on the cover constants.  When no
-    split certifies, the feasible profile with the smallest exact gap is
-    reported instead.  alpha is accepted for interface parity with the
-    discretization pipeline; the search itself has no use for it.
+    split certifies, the feasible profile with the smallest exact gap
+    (lex-first among ties) is reported instead.
     """
-    del alpha
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     strat_set = enumerate_quantized_strategies(game.k, z)
-    thetas = enumerate_theta(game.n, len(strat_set))
 
-    best = None   # (gap, idx, theta, profile, approx)
-    checked = 0
-    if jobs > 1:
-        block_size = 256
-        indexed = enumerate(thetas)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending: deque = deque()
-            done = False
-            while not done or pending:
-                while not done and len(pending) < jobs * 2:
-                    block = list(islice(indexed, block_size))
-                    if not block:
-                        done = True
-                        break
-                    checked += len(block)
-                    pending.append(pool.submit(
-                        _theta_block_worker, (game, strat_set, block, epsilon)))
-                if not pending:
-                    continue
-                for idx, theta, profile, gap, approx in pending.popleft().result():
-                    if gap <= epsilon:
-                        return SolveResult(True, profile, gap, approx, theta,
-                                           idx + 1, z, epsilon)
-                    if best is None or (gap, idx) < (best[0], best[1]):
-                        best = (gap, idx, theta, profile, approx)
-    else:
-        for idx, theta in enumerate(thetas):
-            checked += 1
-            hit = _evaluate_theta(game, strat_set, theta, epsilon)
-            if hit is None:
-                continue
-            profile, report = hit
-            gap = report.max_support_gap
+    best = None   # (gap, theta, profile, approx)
+    with closing(_feasible_splits(game, strat_set, epsilon, jobs)) as hits:
+        for idx, theta, profile, gap, approx in hits:
             if gap <= epsilon:
-                return SolveResult(True, profile, gap, report.max_approx_regret,
-                                   theta, checked, z, epsilon)
-            if best is None or (gap, idx) < (best[0], best[1]):
-                best = (gap, idx, theta, profile, report.max_approx_regret)
+                return SolveResult(True, profile, gap, approx, theta, idx + 1,
+                                   z, epsilon)
+            if best is None or gap < best[0]:
+                best = (gap, theta, profile, approx)
 
+    checked = theta_count(game.n, len(strat_set))
     if best is None:
         return SolveResult(False, None, None, None, None, checked, z, epsilon)
-    gap, _, theta, profile, approx = best
+    gap, theta, profile, approx = best
     return SolveResult(False, profile, gap, approx, theta, checked, z, epsilon)
 
 
-def solve_escalating(game: AnonymousGame, epsilon, z: int, alpha=None,
+def solve_escalating(game: AnonymousGame, epsilon, z: int,
                      budget: float | None = None, jobs: int = 1,
                      max_rounds: int = 8) -> SolveResult:
     """Retry with z doubled until certified, the round budget (seconds,
@@ -282,7 +262,7 @@ def solve_escalating(game: AnonymousGame, epsilon, z: int, alpha=None,
     current_z = z
     for round_no in range(max_rounds):
         try:
-            result = ptas_solve(game, epsilon, current_z, alpha=alpha, jobs=jobs)
+            result = ptas_solve(game, epsilon, current_z, jobs=jobs)
         except GuardExceeded:
             if round_no == 0:
                 raise          # not even the requested z fits the cap

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import GameFormatError
 from .games import (AnonymousGame, MixedProfile, as_fraction,
@@ -120,16 +120,45 @@ def tv_distance(p: SumDistribution, q: SumDistribution):
     return sum(abs(a - b) for a, b in zip(p.mass, q.mass)) / 2
 
 
+def poisson_binomial_pmf(probs: Sequence, exact: bool = True) -> tuple:
+    """pmf of a sum of independent Bernoullis over {0..n}, by the standard
+    one-row DP.  Exact mode matches the k=2 marginal of sum_distribution."""
+    if exact:
+        ps = [as_fraction(p) for p in probs]
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        ps = [float(p) for p in probs]
+        zero, one = 0.0, 1.0
+    if any(p < 0 or p > 1 for p in ps):
+        raise ValueError("Bernoulli parameters must lie in [0, 1]")
+    pmf = [one]
+    for p in ps:
+        nxt = [zero] * (len(pmf) + 1)
+        for j, mass in enumerate(pmf):
+            if mass == 0:
+                continue
+            nxt[j] += mass * (1 - p)
+            nxt[j + 1] += mass * p
+        pmf = nxt
+    return tuple(pmf)
+
+
+def payoff_rows(game: AnonymousGame, dist: SumDistribution,
+                players: Iterable[int]) -> list:
+    """rows[j][s]: expected utility of pure strategy s for players[j] when
+    the opponents' partition has law `dist` (over Pi^k_{n-1}).  Exact for
+    rational masses; float masses give float(u) * m, term by term."""
+    return [tuple(sum(u * m for u, m in zip(row, dist.mass))
+                  for row in game.utilities[p]) for p in players]
+
+
 def expected_utility(game: AnonymousGame, player: int, strategy: int,
                      others: Sequence[Sequence], exact: bool = True):
     """E[u^p_i(x)] where x is the partition induced by the n-1 opponents."""
     if len(others) != game.n - 1:
         raise ValueError(f"expected {game.n - 1} opponent strategies, got {len(others)}")
     dist = sum_distribution(others, k=game.k, exact=exact)
-    row = game.utilities[player][strategy]
-    if exact:
-        return sum(u * m for u, m in zip(row, dist.mass))
-    return sum(float(u) * m for u, m in zip(row, dist.mass))
+    return payoff_rows(game, dist, [player])[0][strategy]
 
 
 @dataclass(frozen=True)
@@ -169,9 +198,7 @@ def regret_profile(game: AnonymousGame, profile: MixedProfile) -> RegretReport:
     for p in range(game.n):
         others = [profile.probs[q] for q in range(game.n) if q != p]
         dist = sum_distribution(others, k=game.k, exact=True)
-        row_payoffs = tuple(
-            sum(u * m for u, m in zip(game.utilities[p][i], dist.mass))
-            for i in range(game.k))
+        row_payoffs, = payoff_rows(game, dist, [p])
         best = max(row_payoffs)
         mix = profile.probs[p]
         approx.append(best - sum(w * v for w, v in zip(mix, row_payoffs)))

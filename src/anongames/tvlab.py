@@ -12,56 +12,45 @@ checked directly: a failure means an implementation bug, not new science.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .discretize import DEFAULT_ALPHA, discretize_profile
 from .games import (MixedProfile, as_fraction, partition_count, random_profile)
 from .guards import LATTICE_CAP, check_guard
-from .sumdist import sum_distribution, tv_distance
+from .sumdist import poisson_binomial_pmf, sum_distribution, tv_distance
 from .tdp import floor_root_power
 
 PMF_TAIL = 1e-12   # truncate Poisson-family pmfs where the tail is below this
 
 
-def poisson_binomial_pmf(probs: Sequence, exact: bool = True) -> tuple:
-    """pmf of a sum of independent Bernoullis over {0..n}, by the standard
-    one-row DP.  Exact mode matches the k=2 marginal of sum_distribution."""
-    if exact:
-        ps = [as_fraction(p) for p in probs]
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        ps = [float(p) for p in probs]
-        zero, one = 0.0, 1.0
-    if any(p < 0 or p > 1 for p in ps):
-        raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    pmf = [one]
-    for p in ps:
-        nxt = [zero] * (len(pmf) + 1)
-        for j, mass in enumerate(pmf):
-            if mass == 0:
-                continue
-            nxt[j] += mass * (1 - p)
-            nxt[j + 1] += mass * p
-        pmf = nxt
-    return tuple(pmf)
-
-
 def _poisson_pmf_truncated(lam: float) -> np.ndarray:
-    """Poisson pmf on 0..N with P(X > N) < PMF_TAIL."""
+    """Poisson pmf on 0..N with P(X > N) < PMF_TAIL.
+
+    Built from the mode by the ratio pmf(j+1) / pmf(j) = lam / (j+1).
+    Beyond the mode that ratio falls with j, so the tail past N is at most
+    the geometric series pmf(N+1) / (1 - lam/(N+2)), which is what stops
+    the upward walk.
+    """
     if lam < 0:
         raise ValueError("rate must be non-negative")
     if lam == 0:
         return np.array([1.0])
-    n = int(stats.poisson.ppf(1.0 - PMF_TAIL, lam)) + 1
-    while stats.poisson.sf(n, lam) >= PMF_TAIL:
-        n += 1
-    return stats.poisson.pmf(np.arange(n + 1), lam)
+    mode = math.floor(lam)
+    pmf = [math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))]
+    for j in range(mode, 0, -1):
+        pmf.append(pmf[-1] * j / lam)
+    pmf.reverse()
+    nxt = pmf[-1] * lam / (mode + 1)
+    while nxt / (1 - lam / (len(pmf) + 1)) >= PMF_TAIL:
+        pmf.append(nxt)
+        nxt *= lam / len(pmf)
+    return np.array(pmf)
 
 
 def _tv_aligned(p: np.ndarray, off_p: int, q: np.ndarray, off_q: int) -> float:
@@ -230,8 +219,8 @@ def n_independence_experiment(k: int, z_list: Sequence[int], n_list: Sequence[in
     """Discretization TV for every (z, n, trial), rows ordered by (z, n,
     trial) regardless of how the work is scheduled.  Profiles depend on
     (base_seed, n, trial) only, so z-sweeps see the same draws."""
-    if trials < 1 or any(n < 1 for n in n_list):
-        raise ValueError("need trials >= 1 and every n >= 1")
+    if k < 2 or trials < 1 or jobs < 1 or any(n < 1 for n in n_list):
+        raise ValueError("need k >= 2, trials >= 1, jobs >= 1 and every n >= 1")
     alpha = as_fraction(alpha)
     check_guard(max(partition_count(n, k) for n in n_list),
                 f"partition lattice for k={k}, n={max(n_list)}", LATTICE_CAP)

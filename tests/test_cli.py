@@ -195,6 +195,56 @@ def test_guard_env_var_reported(workdir):
     assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
+# (argv with file placeholders, files written first): every malformed input
+# below must be reported as a usage error, never as a crash
+MALFORMED_INPUTS = {
+    "profile-zero-denominator": (
+        ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
+        {"bad.json": {"k": 2, "n": 2, "probs": [["1/0", "0/1"], ["1/2", "1/2"]]}}),
+    "profile-infinite-entry": (
+        ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
+        {"bad.json": {"k": 2, "n": 2, "probs": [[float("inf"), 0], ["1/2", "1/2"]]}}),
+    "profile-probs-not-a-list": (
+        ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
+        {"bad.json": {"k": 2, "n": 2, "probs": 5}}),
+    "tdp-dump-probs-not-a-list": (
+        ("tdp-dump", "--profile", "bad.json"),
+        {"bad.json": {"k": 2, "n": 2, "probs": 5}}),
+    "minimax-zero-denominator": (
+        ("minimax", "--funcs", "bad.json", "--epsilon", "1/2"),
+        {"bad.json": {"n": 1, "functions": [["1/0", "1/1"]]}}),
+    "quasi-zero-denominator": (
+        ("quasi", "--game", "bad.json", "--epsilon", "1/2"),
+        {"bad.json": {"p": 2, "s": 2, "utilities": [["1/0", "0/1", "0/1", "1/1"],
+                                                    ["0/1", "1/1", "1/1", "0/1"]]}}),
+    "solve-jobs-zero": (
+        ("solve", "--game", "GAME", "--epsilon", "1/10", "--z", "1", "--jobs", "0",
+         "--out", "out.json"), {}),
+    "tv-experiment-jobs-zero": (
+        ("tv-experiment", "--k", "2", "--z", "5", "--n", "2", "--trials", "1",
+         "--seed", "0", "--jobs", "0", "--out", "out.csv"), {}),
+    "tv-experiment-k-one": (
+        ("tv-experiment", "--k", "1", "--z", "5", "--n", "2", "--trials", "1",
+         "--seed", "0", "--out", "out.csv"), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_usage_error(workdir, case):
+    argv, files = MALFORMED_INPUTS[case]
+    for name, obj in files.items():
+        (workdir / name).write_text(json.dumps(obj))
+    game_path = write_anti_coordination(workdir)
+    args = [game_path if a == "GAME" else
+            workdir / a if a.endswith((".json", ".csv")) else a for a in argv]
+    code, _, err = run_cli(*args)
+    assert code == 2, err
+    assert b"Traceback" not in err
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert not (workdir / "out.json").exists() and not (workdir / "out.csv").exists()
+
+
 def test_every_subcommand_byte_deterministic(workdir):
     """Each subcommand twice with identical flags: identical stdout and files."""
     game_path = write_anti_coordination(workdir)

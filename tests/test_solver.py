@@ -163,13 +163,15 @@ def test_ptas_result_profile_is_quantized_and_certified():
 
 
 def test_ptas_jobs_match_serial():
-    game = random_game(3, 2, seed=2)
-    a = ptas_solve(game, F(1, 5), z=2)
-    b = ptas_solve(game, F(1, 5), z=2, jobs=4)
-    assert a.certified == b.certified
-    assert a.profile.probs == b.profile.probs
-    assert a.theta == b.theta
-    assert a.thetas_checked == b.thetas_checked
+    # one certified search and one that finds nothing within eps and so
+    # visits every split (C(4 + 5 - 1, 4) = 70 of them)
+    for game, eps, z in ((random_game(3, 2, seed=2), F(1, 5), 2),
+                         (random_game(4, 2, seed=1), F(1, 10 ** 6), 1)):
+        a = ptas_solve(game, eps, z=z)
+        b = ptas_solve(game, eps, z=z, jobs=4)
+        assert a == b
+    assert not a.certified
+    assert a.thetas_checked == theta_count(4, 5) == 70
 
 
 def test_escalation_reaches_off_grid_equilibrium():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from anongames import (MixedProfile, discretize_profile, random_profile,
                        sum_distribution)
-from anongames.tvlab import (CSV_HEADER, discretization_tv, mix_trial_seed,
+from anongames.tvlab import (CSV_HEADER, PMF_TAIL, _poisson_pmf_truncated,
+                             discretization_tv, mix_trial_seed,
                              n_independence_experiment, poisson_binomial_pmf,
                              poisson_poisson_tv_check, poisson_tv_check,
                              rows_to_csv, translated_poisson_pmf,
@@ -56,6 +58,18 @@ def test_poisson_check_random_admissible_sweep():
                  for _ in range(n)]
         chk = poisson_tv_check(probs, z, alpha)
         assert chk.passed, (z, alpha, chk)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 0.3, 7, 60, 700])
+def test_poisson_pmf_truncated_tail_and_mean(lam):
+    pmf = _poisson_pmf_truncated(lam)
+    assert pmf[0] == pytest.approx(math.exp(-lam), rel=1e-9)
+    n = len(pmf) - 1
+    tail = math.fsum(math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
+                     for j in range(n + 1, n + 1000))
+    assert tail < PMF_TAIL
+    mean = math.fsum(j * m for j, m in enumerate(pmf))
+    assert mean == pytest.approx(lam, rel=1e-9, abs=1e-9)
 
 
 def test_translated_poisson_pmf_shift():
