@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes are part of the contract so escalation loops can be scripted:
-0 on success, 1 when a requested certification honestly failed (the best
-found is still reported), 2 on usage or validation errors.  All
+0 on success, 1 when a requested certification honestly failed (nothing
+certified, nothing written), 2 on usage or validation errors.  All
 randomness flows through explicit --seed flags and every output is
 byte-deterministic given the flags, --jobs included.
 """
@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import (DEFAULT_ALPHA, GameFormatError, GuardExceeded, discretize_profile,
-               minimax_ptas, n_independence_experiment, nf_regret, parse_functions,
+               minimax_ptas, n_independence_experiment, parse_functions,
                parse_game, parse_nf_game, parse_profile, ptas_solve, quasi_solve,
                random_game, regret_profile, rows_to_csv, serialize_game,
                serialize_profile, solve_escalating)
@@ -85,16 +85,15 @@ def cmd_solve(args) -> int:
                                   jobs=args.jobs)
     else:
         result = ptas_solve(game, eps, args.z, jobs=args.jobs)
-    if result is None or result.profile is None:
+    if not result.certified:
         print(f"solve: no feasible strategy split at z={args.z}; nothing certified")
         return 1
     _write(args.out, serialize_profile(result.profile))
-    status = "certified" if result.certified else "best-found (NOT certified)"
-    print(f"solve: {status} at z={result.z} after {result.thetas_checked} splits")
+    print(f"solve: certified at z={result.z} after {result.thetas_checked} splits")
     print(f"  support gap   = {_gap_str(result.support_gap)}")
     print(f"  approx regret = {_gap_str(result.approx_regret)}")
     print(f"  profile written to {args.out}")
-    return 0 if result.certified else 1
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -119,7 +118,7 @@ def cmd_discretize(args) -> int:
     _write(args.out, serialize_profile(disc.to_profile()))
     print(f"discretize: z={args.z} alpha={args.alpha} -> {args.out}")
     if args.sumdist_out:
-        dist = sum_distribution(disc.probs, k=disc.k, exact=True)
+        dist = sum_distribution(disc.probs, k=disc.k)
         _write(args.sumdist_out, dist.to_csv().encode())
         print(f"discretize: sum distribution -> {args.sumdist_out}")
     return 0

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,15 +41,34 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
+def require_int(what: str, **dims) -> None:
+    """Raise GameFormatError unless every named dimension is an int (a bool
+    is not a dimension)."""
+    for name, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GameFormatError(f"{what} needs an integer {name}, got {value!r}")
+
+
 def partition_count(m: int, k: int) -> int:
     """|Pi^k_m| = C(m+k-1, k-1)."""
     return math.comb(m + k - 1, k - 1)
 
 
+def iter_partitions(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All k-tuples of non-negative integers summing to m (m >= 0, k >= 1),
+    lazily, in ascending lexicographic order with the first coordinate most
+    significant."""
+    if k == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in iter_partitions(m - first, k - 1):
+            yield (first,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-tuples of non-negative integers summing to m, in ascending
-    lexicographic order with the first coordinate most significant.
+    """The tuple of iter_partitions(m, k).
 
     The index of a tuple in this sequence is its canonical rank; file
     formats and every DP table in the package index by that rank.
@@ -58,12 +77,7 @@ def enumerate_partitions(m: int, k: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if k == 1:
-        return ((m,),)
-    out = []
-    for first in range(m + 1):
-        out.extend((first,) + rest for rest in enumerate_partitions(m - first, k - 1))
-    return tuple(out)
+    return tuple(iter_partitions(m, k))
 
 
 def partition_rank(partition: Sequence[int], m: int | None = None,
@@ -91,10 +105,6 @@ def partition_rank(partition: Sequence[int], m: int | None = None,
     return rank
 
 
-def _rank_map(m: int, k: int) -> dict:
-    return {p: r for r, p in enumerate(enumerate_partitions(m, k))}
-
-
 @dataclass(frozen=True)
 class AnonymousGame:
     """n players, k strategies, utilities[player][strategy][partition_rank].
@@ -109,11 +119,12 @@ class AnonymousGame:
     utilities: tuple
 
     def __post_init__(self):
+        require_int("anonymous game", n=self.n, k=self.k)
         if self.n < 2 or self.k < 2:
             raise GameFormatError("anonymous game needs n >= 2 and k >= 2")
-        size = partition_count(self.n - 1, self.k)
         if len(self.utilities) != self.n:
             raise GameFormatError("table size mismatch: expected one row per player")
+        size = partition_count(self.n - 1, self.k)
         coerced = []
         for p, per_player in enumerate(self.utilities):
             if len(per_player) != self.k:
@@ -189,11 +200,8 @@ def parse_game(data: bytes | str) -> AnonymousGame:
         raise GameFormatError(f"malformed game file: {exc}") from exc
     if not isinstance(obj, dict) or not {"n", "k", "utilities"} <= set(obj):
         raise GameFormatError("malformed game file: need keys n, k, utilities")
-    n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise GameFormatError("malformed game file: n and k must be integers")
     try:
-        return AnonymousGame(n=n, k=k, utilities=obj["utilities"])
+        return AnonymousGame(n=obj["n"], k=obj["k"], utilities=obj["utilities"])
     except (TypeError, ValueError) as exc:
         if isinstance(exc, GameFormatError):
             raise

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GameFormatError
-from .games import as_fraction
+from .games import as_fraction, require_int
 from .guards import check_guard
 from .sumdist import poisson_binomial_pmf
 
@@ -36,6 +36,7 @@ class ObjectiveFunctions:
     tables: tuple
 
     def __post_init__(self):
+        require_int("objective functions", n=self.n)
         if self.n < 1:
             raise GameFormatError("need n >= 1")
         if len(self.tables) < 1:
@@ -80,15 +81,13 @@ def serialize_functions(funcs: ObjectiveFunctions) -> bytes:
     return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
 
 
-def objective_value(funcs: ObjectiveFunctions, probs: Sequence, exact: bool = True):
-    """max over functions of E[f(sum of Bernoulli(p_i))].  Exact rational
-    arithmetic by default (hence exactly permutation-invariant)."""
+def objective_value(funcs: ObjectiveFunctions, probs: Sequence) -> Fraction:
+    """max over functions of E[f(sum of Bernoulli(p_i))], in exact rational
+    arithmetic (hence exactly permutation-invariant)."""
     if len(probs) != funcs.n:
         raise ValueError(f"expected {funcs.n} Bernoulli parameters")
-    pmf = poisson_binomial_pmf(probs, exact=exact)
-    if exact:
-        return max(sum(f * m for f, m in zip(row, pmf)) for row in funcs.tables)
-    return max(sum(float(f) * m for f, m in zip(row, pmf)) for row in funcs.tables)
+    pmf = poisson_binomial_pmf(probs)
+    return max(sum(f * m for f, m in zip(row, pmf)) for row in funcs.tables)
 
 
 def normalize_epsilon(epsilon) -> Fraction:

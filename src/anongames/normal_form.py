@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .discretize import largest_remainder_round
 from .errors import GameFormatError
-from .games import as_fraction, enumerate_partitions
+from .games import as_fraction, enumerate_partitions, require_int
 from .guards import check_guard
 
 EXACT_NE_TOL = Fraction(1, 10 ** 9)
@@ -35,11 +35,12 @@ class NormalFormGame:
     utilities: tuple
 
     def __post_init__(self):
+        require_int("normal-form game", p=self.p, s=self.s)
         if self.p < 1 or self.s < 1:
             raise GameFormatError("normal-form game needs p >= 1 and s >= 1")
-        size = self.s ** self.p
         if len(self.utilities) != self.p:
             raise GameFormatError("table size mismatch: one row per player")
+        size = self.s ** self.p
         coerced = []
         for row in self.utilities:
             if len(row) != size:

@@ -24,7 +24,8 @@ from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
 from .games import (AnonymousGame, MixedProfile, as_fraction,
-                    enumerate_partitions, partition_count, partition_rank)
+                    enumerate_partitions, iter_partitions, partition_count,
+                    partition_rank)
 from .guards import check_guard
 from .sumdist import payoff_rows, regret_profile, sum_distribution
 
@@ -36,10 +37,6 @@ class QuantizedStrategySet:
     k: int
     z: int
     strategies: tuple
-
-    @property
-    def grid(self) -> int:
-        return (2 ** self.k) * self.z
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -56,27 +53,14 @@ def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
     return QuantizedStrategySet(k=k, z=z, strategies=strategies)
 
 
-def theta_count(n: int, num_strategies: int) -> int:
-    return partition_count(n, num_strategies)
-
-
 def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
     """All ways to split n players among the quantized strategies, in
     ascending lex order, lazily."""
     if n < 1 or num_strategies < 1:
         raise ValueError("need n >= 1 and at least one strategy")
-    check_guard(theta_count(n, num_strategies),
+    check_guard(partition_count(n, num_strategies),
                 f"partitions of {n} players into {num_strategies} strategies")
-
-    def rec(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    return rec(n, num_strategies)
+    return iter_partitions(n, num_strategies)
 
 
 def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
@@ -98,7 +82,7 @@ def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
         for tau_idx, tau_count in enumerate(theta):
             copies = tau_count - (1 if tau_idx == sigma_idx else 0)
             opponents.extend([strat_set.strategies[tau_idx]] * copies)
-        dist = sum_distribution(opponents, k=game.k, exact=True)
+        dist = sum_distribution(opponents, k=game.k)
         payoffs = payoff_rows(game, dist, range(game.n))
         support = [s for s in range(game.k) if sigma[s] > 0]
         for p in range(game.n):
@@ -180,7 +164,8 @@ class SolveResult:
 
 def _hits(game, strat_set, indexed, epsilon):
     """(idx, theta, profile, support gap, approx regret) for each indexed
-    split whose assignment graph has a perfect flow, lazily, in input order."""
+    split whose assignment graph has a perfect flow, lazily, in input
+    order.  The gaps are the exact certification of those profiles."""
     for idx, theta in indexed:
         edges = best_response_edges(game, strat_set, theta, epsilon)
         if any(not e for e in edges):
@@ -221,12 +206,14 @@ def _feasible_splits(game, strat_set, epsilon, jobs):
 
 def ptas_solve(game: AnonymousGame, epsilon, z: int, jobs: int = 1) -> SolveResult:
     """Search all player splits over the quantized strategies for the first
-    (lex order) certified epsilon-Nash profile.
+    (lex order) one whose assignment graph has a perfect flow.
 
-    delta for edge construction equals epsilon; certification is the exact
-    support gap, so soundness never leans on the cover constants.  When no
-    split certifies, the feasible profile with the smallest exact gap
-    (lex-first among ties) is reported instead.
+    delta for edge construction equals epsilon, and an edge admits a
+    player to sigma against the very leave-one-out law that the exact
+    certification uses, so every perfect flow is an epsilon-Nash profile.
+    The exact support gap is still computed and checked, so soundness
+    never leans on that argument or on the cover constants.  When no split
+    has a perfect flow the result is uncertified, with no profile.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
@@ -235,20 +222,16 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int, jobs: int = 1) -> SolveResu
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     strat_set = enumerate_quantized_strategies(game.k, z)
 
-    best = None   # (gap, theta, profile, approx)
     with closing(_feasible_splits(game, strat_set, epsilon, jobs)) as hits:
-        for idx, theta, profile, gap, approx in hits:
-            if gap <= epsilon:
-                return SolveResult(True, profile, gap, approx, theta, idx + 1,
-                                   z, epsilon)
-            if best is None or gap < best[0]:
-                best = (gap, theta, profile, approx)
-
-    checked = theta_count(game.n, len(strat_set))
-    if best is None:
+        hit = next(hits, None)
+    if hit is None:
+        checked = partition_count(game.n, len(strat_set))
         return SolveResult(False, None, None, None, None, checked, z, epsilon)
-    gap, theta, profile, approx = best
-    return SolveResult(False, profile, gap, approx, theta, checked, z, epsilon)
+    idx, theta, profile, gap, approx = hit
+    if gap > epsilon:
+        raise RuntimeError(f"split {theta} has a perfect flow but support gap "
+                           f"{gap} > epsilon; this cannot happen and indicates a bug")
+    return SolveResult(True, profile, gap, approx, theta, idx + 1, z, epsilon)
 
 
 def solve_escalating(game: AnonymousGame, epsilon, z: int,
@@ -256,9 +239,9 @@ def solve_escalating(game: AnonymousGame, epsilon, z: int,
                      max_rounds: int = 8) -> SolveResult:
     """Retry with z doubled until certified, the round budget (seconds,
     checked between rounds) runs out, or max_rounds is hit.  Returns the
-    certified result or the best uncertified one seen."""
+    certified result, or else the first round's uncertified one."""
     start = time.monotonic()
-    best: SolveResult | None = None
+    first: SolveResult | None = None
     current_z = z
     for round_no in range(max_rounds):
         try:
@@ -266,17 +249,15 @@ def solve_escalating(game: AnonymousGame, epsilon, z: int,
         except GuardExceeded:
             if round_no == 0:
                 raise          # not even the requested z fits the cap
-            break              # keep the best result from the smaller grids
+            break              # report the first round's result
         if result.certified:
             return result
-        if best is None or (result.support_gap is not None
-                            and (best.support_gap is None
-                                 or result.support_gap < best.support_gap)):
-            best = result
+        if first is None:
+            first = result
         current_z *= 2
         if budget is not None and time.monotonic() - start > budget:
             break
-    return best
+    return first
 
 
 # --- independent oracle ----------------------------------------------------

@@ -3,9 +3,10 @@
 The sum of n independent draws, each a unit vector e_l with probability
 p_i(l), lives on the partition lattice Pi^k_n.  The full distribution is
 computed by iterative convolution, growing the lattice one vector at a
-time.  Two arithmetic modes exist and are always chosen explicitly:
-exact rationals (used for every certification) and float64 (used for
-bulk total-variation experiments).
+time.  The arithmetic is exact: float inputs are promoted to their
+exact dyadic values, and every mass is a rational.  Callers that want
+floats (the total-variation experiments) convert the finished law with
+`SumDistribution.to_floats`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import GameFormatError
 from .games import (AnonymousGame, MixedProfile, as_fraction,
-                    enumerate_partitions, partition_count)
-
-FLOAT_INPUT_TOL = 1e-9     # row-sum tolerance for float-mode inputs
-FLOAT_OUTPUT_TOL = 1e-12   # mass-sum tolerance for float-mode outputs
+                    enumerate_partitions)
 
 
 @dataclass(frozen=True)
@@ -45,28 +43,17 @@ class SumDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _check_vector(vec, exact: bool):
-    if exact:
-        vals = tuple(as_fraction(v) for v in vec)
-        if any(v < 0 for v in vals):
-            raise ValueError("negative probability entry")
-        if sum(vals) != 1:
-            raise ValueError("probability vector must sum to exactly 1 in exact mode")
-    else:
-        vals = tuple(float(v) for v in vec)
-        if any(v < 0 for v in vals):
-            raise ValueError("negative probability entry")
-        total = sum(vals)
-        if abs(total - 1.0) > FLOAT_INPUT_TOL:
-            raise ValueError("probability vector must sum to 1 within 1e-9")
-        # renormalize the admitted drift so the output mass-sum check stays
-        # at machine precision
-        vals = tuple(v / total for v in vals)
+def _check_vector(vec) -> tuple:
+    vals = tuple(as_fraction(v) for v in vec)
+    if any(v < 0 for v in vals):
+        raise ValueError("negative probability entry")
+    if sum(vals) != 1:
+        raise ValueError("probability vector must sum to exactly 1")
     return vals
 
 
-def sum_distribution(vectors: Sequence[Sequence], k: int | None = None,
-                     exact: bool = True) -> SumDistribution:
+def sum_distribution(vectors: Sequence[Sequence],
+                     k: int | None = None) -> SumDistribution:
     """Exact law of the sum of independent unit vectors.
 
     vectors[i][l] is the probability that draw i lands on strategy l.  The
@@ -83,10 +70,10 @@ def sum_distribution(vectors: Sequence[Sequence], k: int | None = None,
     if any(len(v) != k for v in vectors):
         raise ValueError("all vectors must have length k")
 
-    one = Fraction(1) if exact else 1.0
+    zero, one = Fraction(0), Fraction(1)
     state = {(0,) * k: one}
     for vec in vectors:
-        vals = _check_vector(vec, exact)
+        vals = _check_vector(vec)
         nxt: dict = {}
         for part, mass in state.items():
             for ell, p in enumerate(vals):
@@ -100,13 +87,8 @@ def sum_distribution(vectors: Sequence[Sequence], k: int | None = None,
         state = nxt
 
     m = len(vectors)
-    zero = Fraction(0) if exact else 0.0
     mass = tuple(state.get(part, zero) for part in enumerate_partitions(m, k))
-    total = sum(mass)
-    if exact:
-        assert total == 1
-    elif abs(total - 1.0) > FLOAT_OUTPUT_TOL:
-        raise ValueError(f"float-mode mass sum drifted to {total!r}")
+    assert sum(mass) == 1
     return SumDistribution(m=m, k=k, mass=mass)
 
 
@@ -145,20 +127,14 @@ def poisson_binomial_pmf(probs: Sequence, exact: bool = True) -> tuple:
 
 def payoff_rows(game: AnonymousGame, dist: SumDistribution,
                 players: Iterable[int]) -> list:
-    """rows[j][s]: expected utility of pure strategy s for players[j] when
-    the opponents' partition has law `dist` (over Pi^k_{n-1}).  Exact for
-    rational masses; float masses give float(u) * m, term by term."""
+    """rows[j][s]: the exact expected utility E[u^p_s(x)] of pure strategy
+    s for p = players[j] when the opponents' partition x has law `dist`,
+    which must live on Pi^k_{n-1}."""
+    if (dist.m, dist.k) != (game.n - 1, game.k):
+        raise ValueError(f"opponent law on Pi^{dist.k}_{dist.m}, expected "
+                         f"Pi^{game.k}_{game.n - 1}")
     return [tuple(sum(u * m for u, m in zip(row, dist.mass))
                   for row in game.utilities[p]) for p in players]
-
-
-def expected_utility(game: AnonymousGame, player: int, strategy: int,
-                     others: Sequence[Sequence], exact: bool = True):
-    """E[u^p_i(x)] where x is the partition induced by the n-1 opponents."""
-    if len(others) != game.n - 1:
-        raise ValueError(f"expected {game.n - 1} opponent strategies, got {len(others)}")
-    dist = sum_distribution(others, k=game.k, exact=exact)
-    return payoff_rows(game, dist, [player])[0][strategy]
 
 
 @dataclass(frozen=True)
@@ -197,7 +173,7 @@ def regret_profile(game: AnonymousGame, profile: MixedProfile) -> RegretReport:
     gaps = []
     for p in range(game.n):
         others = [profile.probs[q] for q in range(game.n) if q != p]
-        dist = sum_distribution(others, k=game.k, exact=True)
+        dist = sum_distribution(others, k=game.k)
         row_payoffs, = payoff_rows(game, dist, [p])
         best = max(row_payoffs)
         mix = profile.probs[p]

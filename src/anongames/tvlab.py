@@ -145,8 +145,8 @@ def discretization_tv(profile: MixedProfile, z: int,
     n, k = profile.n, profile.k
 
     def tv_of(rows_a, rows_b):
-        pa = sum_distribution(rows_a, k=k, exact=True).to_floats()
-        pb = sum_distribution(rows_b, k=k, exact=True).to_floats()
+        pa = sum_distribution(rows_a, k=k).to_floats()
+        pb = sum_distribution(rows_b, k=k).to_floats()
         return tv_distance(pa, pb)
 
     tv = tv_of(profile.probs, disc.probs)

@@ -163,7 +163,8 @@ def test_solve_uncertified_exits_one(workdir):
     code, out, _ = run_cli("solve", "--game", game_path, "--epsilon", "1/100",
                            "--z", 1, "--out", workdir / "none.json")
     assert code == 1
-    assert b"no feasible" in out or b"NOT certified" in out
+    assert b"no feasible" in out
+    assert not (workdir / "none.json").exists()
 
 
 def test_solve_escalate_with_budget(workdir):
@@ -217,6 +218,16 @@ MALFORMED_INPUTS = {
         ("quasi", "--game", "bad.json", "--epsilon", "1/2"),
         {"bad.json": {"p": 2, "s": 2, "utilities": [["1/0", "0/1", "0/1", "1/1"],
                                                     ["0/1", "1/1", "1/1", "0/1"]]}}),
+    "quasi-float-dimension": (
+        ("quasi", "--game", "bad.json", "--epsilon", "1/2"),
+        {"bad.json": {"p": 2.0, "s": 2, "utilities": [["1/1", "0/1", "0/1", "1/1"],
+                                                      ["0/1", "1/1", "1/1", "0/1"]]}}),
+    "quasi-huge-float-dimension": (
+        ("quasi", "--game", "bad.json", "--epsilon", "1/2"),
+        {"bad.json": {"p": 1e300, "s": 2.5, "utilities": []}}),
+    "minimax-float-dimension": (
+        ("minimax", "--funcs", "bad.json", "--epsilon", "1/2"),
+        {"bad.json": {"n": 2.0, "functions": [["0/1", "1/2", "1/1"]]}}),
     "solve-jobs-zero": (
         ("solve", "--game", "GAME", "--epsilon", "1/10", "--z", "1", "--jobs", "0",
          "--out", "out.json"), {}),

@@ -107,7 +107,7 @@ def test_more_than_two_functions():
     funcs = random_functions(3, seed=4, m=4)
     res = minimax_ptas(funcs, F(1, 2))
     assert 0 <= res.value <= 1
-    assert objective_value(funcs, res.probs, exact=False) == pytest.approx(res.value)
+    assert float(objective_value(funcs, res.probs)) == pytest.approx(res.value)
 
 
 def test_maximin_flag_complements():

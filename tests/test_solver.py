@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from anongames import (GuardExceeded, expected_utility, random_game,
-                       regret_profile)
+from anongames import (GuardExceeded, RegretReport, partition_count,
+                       payoff_rows, random_game, regret_profile,
+                       sum_distribution)
 from anongames.solver import (best_response_edges, bit_bound,
                               brute_force_oracle, enumerate_quantized_strategies,
                               enumerate_theta, max_flow_assign, ptas_solve,
-                              solve_escalating, theta_count)
+                              solve_escalating)
 from tests.test_sumdist import anti_coordination, constant_game
 
 
@@ -35,11 +36,11 @@ def test_quantized_strategies_guard():
 def test_theta_enumeration():
     assert list(enumerate_theta(1, 2)) == [(0, 1), (1, 0)]
     thetas = list(enumerate_theta(2, 3))
-    assert len(thetas) == 6 == theta_count(2, 3)
+    assert len(thetas) == 6 == partition_count(2, 3)
     assert len(set(thetas)) == 6
     assert thetas == sorted(thetas)
     for n, K in ((2, 3), (3, 4), (1, 5)):
-        assert theta_count(n, K) <= (n + 1) ** (K - 1)
+        assert partition_count(n, K) <= (n + 1) ** (K - 1)
 
 
 def test_best_response_edges_anti_coordination():
@@ -171,7 +172,36 @@ def test_ptas_jobs_match_serial():
         b = ptas_solve(game, eps, z=z, jobs=4)
         assert a == b
     assert not a.certified
-    assert a.thetas_checked == theta_count(4, 5) == 70
+    assert a.thetas_checked == partition_count(4, 5) == 70
+
+
+def test_ptas_certifies_or_exhausts_with_no_profile():
+    # a perfect flow is always an eps-Nash profile, so the search either
+    # certifies or visits every split and has nothing to report
+    outcomes = set()
+    for n in (3, 4):
+        for seed in range(6):
+            res = ptas_solve(random_game(n, 2, seed=seed), F(1, 1000), z=1)
+            outcomes.add(res.certified)
+            if res.certified:
+                assert res.profile is not None and res.support_gap <= F(1, 1000)
+            else:
+                assert res.profile is None and res.support_gap is None
+                assert res.theta is None
+                assert res.thetas_checked == partition_count(n, 5)
+    assert outcomes == {True, False}
+
+
+def test_ptas_failed_certification_is_a_bug(monkeypatch):
+    def inflated(game, profile):
+        report = regret_profile(game, profile)
+        return RegretReport(payoffs=report.payoffs,
+                            approx_regret=report.approx_regret,
+                            support_gap=tuple(g + 1 for g in report.support_gap))
+
+    monkeypatch.setattr("anongames.solver.regret_profile", inflated)
+    with pytest.raises(RuntimeError, match="indicates a bug"):
+        ptas_solve(anti_coordination(), F(1, 10), z=1, jobs=1)
 
 
 def test_escalation_reaches_off_grid_equilibrium():
@@ -223,8 +253,8 @@ def test_bit_bound_on_expected_utility_denominators():
     budget = bit_bound(n, z, k, u_min)
     ss = enumerate_quantized_strategies(k, z)
     for sigma in ss.strategies[:6]:
-        for i in range(k):
-            value = expected_utility(game, 0, i, [sigma] * (n - 1))
+        dist = sum_distribution([sigma] * (n - 1), k=k)
+        for value in payoff_rows(game, dist, [0])[0]:
             assert value.denominator.bit_length() <= budget
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from anongames import (AnonymousGame, MixedProfile, expected_utility,
+from anongames import (AnonymousGame, MixedProfile, payoff_rows,
                        random_profile, regret_profile, sum_distribution,
                        tv_distance)
 from anongames.tvlab import poisson_binomial_pmf
@@ -109,27 +109,14 @@ def test_monte_carlo_cross_check():
         assert abs(got - p) <= 3 * sigma + 1e-12, (part, got, p)
 
 
-def test_float_mode_matches_exact_mode():
-    prof = random_profile(6, 3, seed=21)
-    rows_float = [[float(v) for v in r] for r in prof.probs]
-    exact = sum_distribution(prof.probs, exact=True)
-    approx = sum_distribution(rows_float, exact=False)
-    assert max(abs(float(a) - b) for a, b in zip(exact.mass, approx.mass)) < 1e-12
-    game = anti_coordination()
-    e = expected_utility(game, 0, 0, [(F(3, 10), F(7, 10))], exact=True)
-    f = expected_utility(game, 0, 0, [(0.3, 0.7)], exact=False)
-    assert abs(float(e) - f) < 1e-12
-
-
 def test_float_mode_input_tolerance():
-    # float mode tolerates 1e-9 input drift; exact mode does not
-    drifty = [(0.3 + 2e-10, 0.7)]
-    d = sum_distribution(drifty, exact=False)
-    assert abs(sum(d.mass) - 1.0) <= 1e-12
+    # float entries are promoted to their exact dyadic values, so a row of
+    # dyadic floats is accepted and any drift from a sum of 1 is rejected
+    assert sum_distribution([(0.25, 0.75)]).mass == (F(3, 4), F(1, 4))
     with pytest.raises(ValueError):
-        sum_distribution([(0.30000001, 0.7)], exact=False)
+        sum_distribution([(0.3 + 2e-10, 0.7)])
     with pytest.raises(ValueError):
-        sum_distribution(drifty, exact=True)
+        sum_distribution([(0.3, 0.7)])      # 0.3 + 0.7 is not 1 in dyadics
 
 
 def test_tv_basic_cases():
@@ -158,21 +145,26 @@ def test_tv_symmetry_and_triangle():
 
 def test_expected_utility_anti_coordination():
     game = anti_coordination()
-    assert expected_utility(game, 0, 0, [(F(0), F(1))]) == 1
-    assert expected_utility(game, 0, 0, [(F(1, 2), F(1, 2))]) == F(1, 2)
+    assert payoff_rows(game, sum_distribution([(F(0), F(1))]), [0]) == [(1, 0)]
+    half = sum_distribution([(F(1, 2), F(1, 2))])
+    assert payoff_rows(game, half, [0, 1]) == [(F(1, 2), F(1, 2))] * 2
 
 
 def test_expected_utility_constant_game():
     game = constant_game(3, 2, F(2, 5))
     for seed in range(3):
         prof = random_profile(2, 2, seed=seed)
-        assert expected_utility(game, 0, 1, prof.probs) == F(2, 5)
+        dist = sum_distribution(prof.probs)
+        assert payoff_rows(game, dist, range(3)) == [(F(2, 5), F(2, 5))] * 3
 
 
 def test_expected_utility_wrong_arity():
+    # the opponents' law must live on Pi^k_{n-1}
     game = anti_coordination()
     with pytest.raises(ValueError):
-        expected_utility(game, 0, 0, [])
+        payoff_rows(game, sum_distribution([], k=2), [0])
+    with pytest.raises(ValueError):
+        payoff_rows(game, sum_distribution([(F(1), F(0), F(0))]), [0])
 
 
 def test_regret_anti_coordination_mixed():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anongames import TdpStructureError
 from anongames.tdp import (build_tdp_tree, cell_signature, classify_leaf,
@@ -169,11 +171,20 @@ def test_format_tree_mentions_types_and_rationals():
     assert "1/3" in out and "leaf[" in out and out.endswith("\n")
 
 
-def test_split_uniqueness_guard_is_quiet_on_valid_inputs():
+# small weights make ties (the split rule's hard case) common; large ones
+# give awkward denominators
+_weights = st.lists(st.integers(1, 12) | st.integers(1, 10 ** 9),
+                    min_size=3, max_size=9)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_weights)
+def test_split_uniqueness_guard_is_quiet_on_valid_inputs(weights):
     # TdpStructureError should never fire for positive exact inputs
-    for seed in range(300):
-        probs = random_positive_dist(5, seed + 7)
-        try:
-            build_tdp_tree(list(range(5)), probs)
-        except TdpStructureError as exc:   # pragma: no cover
-            pytest.fail(f"uniqueness violated: {exc}")
+    probs = [F(w, sum(weights)) for w in weights]
+    try:
+        t = build_tdp_tree(list(range(len(probs))), probs)
+    except TdpStructureError as exc:   # pragma: no cover
+        pytest.fail(f"uniqueness violated: {exc}")
+    assert reconstruct_distribution(t) == dict(enumerate(probs))
+    assert all(node_ordering_ok(node) for node in iter_nodes(t))
