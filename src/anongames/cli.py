@@ -19,15 +19,15 @@ from . import (DEFAULT_ALPHA, GameFormatError, GuardExceeded, discretize_profile
                parse_game, parse_nf_game, parse_profile, ptas_solve, quasi_solve,
                random_game, regret_profile, rows_to_csv, serialize_game,
                serialize_profile, solve_escalating)
-from .games import MixedProfile, profile_support
+from .games import MixedProfile, as_fraction, profile_support
 from .sumdist import sum_distribution
 from .tdp import build_tdp_tree, format_tree
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_fraction(text)
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,17 +24,41 @@ from .errors import GameFormatError
 
 Partition = tuple  # a k-tuple of non-negative ints
 
+# the decimal exponent of a string in Fraction's format, e.g. "1.5e-3"
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _check_exponent(text: str) -> None:
+    """Reject a decimal exponent larger in magnitude than the interpreter's
+    int string limit: Fraction would expand "1e10000000" into a
+    ten-million-digit integer before any range check could run."""
+    match = _DECIMAL_EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
+    if match is None or limit == 0:
+        return
+    try:
+        too_big = abs(int(match.group(1))) > limit
+    except ValueError:          # more exponent digits than the limit itself
+        too_big = True
+    if too_big:
+        raise ValueError(f"cannot interpret {text[:40]!r} as a rational: decimal "
+                         f"exponent exceeds {limit} in magnitude")
+
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, floats, Fractions and 'num/den' strings to Fraction.
 
     Floats are promoted to their exact dyadic value (no decimal guessing),
-    so the conversion is lossless and deterministic.
+    so the conversion is lossless and deterministic.  A string whose
+    decimal exponent exceeds sys.get_int_max_str_digits() in magnitude is
+    rejected with ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a probability/utility value")
+    if isinstance(value, str):
+        _check_exponent(value)
     if isinstance(value, (int, float, str)):
         try:
             return Fraction(value)

@@ -240,6 +240,8 @@ def solve_escalating(game: AnonymousGame, epsilon, z: int,
     """Retry with z doubled until certified, the round budget (seconds,
     checked between rounds) runs out, or max_rounds is hit.  Returns the
     certified result, or else the first round's uncertified one."""
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     start = time.monotonic()
     first: SolveResult | None = None
     current_z = z

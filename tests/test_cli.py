@@ -202,6 +202,9 @@ MALFORMED_INPUTS = {
     "profile-zero-denominator": (
         ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
         {"bad.json": {"k": 2, "n": 2, "probs": [["1/0", "0/1"], ["1/2", "1/2"]]}}),
+    "profile-huge-exponent": (
+        ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
+        {"bad.json": {"k": 2, "n": 2, "probs": [["1e10000000", "0/1"], ["1/2", "1/2"]]}}),
     "profile-infinite-entry": (
         ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10"),
         {"bad.json": {"k": 2, "n": 2, "probs": [[float("inf"), 0], ["1/2", "1/2"]]}}),
@@ -254,6 +257,16 @@ def test_malformed_input_is_usage_error(workdir, case):
     lines = err.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert not (workdir / "out.json").exists() and not (workdir / "out.csv").exists()
+
+
+def test_huge_exponent_flag_is_usage_error(workdir):
+    # parsed by the same as_fraction as file entries, so it fails fast
+    game_path = write_anti_coordination(workdir)
+    code, out, err = run_cli("solve", "--game", game_path, "--epsilon", "1e-10000000",
+                             "--z", 1, "--out", workdir / "out.json")
+    assert code == 2 and not out
+    assert b"not a rational number" in err and b"Traceback" not in err
+    assert not (workdir / "out.json").exists()
 
 
 def test_every_subcommand_byte_deterministic(workdir):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from anongames import (GameFormatError, enumerate_partitions, parse_game,
                        parse_profile, partition_count, partition_rank,
                        random_game, random_profile, serialize_game,
                        serialize_profile)
+from anongames.games import as_fraction
 
 
 def test_enumerate_small_cases():
@@ -116,3 +118,19 @@ def test_profile_rejects_bad_sum():
     blob = b'{"k":2,"n":1,"probs":[["1/2","1/3"]]}'
     with pytest.raises(GameFormatError, match="sum"):
         parse_profile(blob)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "2.5E+4301"])
+def test_huge_decimal_exponent_rejected_quickly(text):
+    # Fraction would expand the exponent into a ten-million-digit integer
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        as_fraction(text)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_moderate_decimal_exponents_still_parse():
+    assert as_fraction("1e300") == 10 ** 300
+    assert as_fraction("1e-300") == F(1, 10 ** 300)
+    assert as_fraction("3/4") == F(3, 4)
+    assert as_fraction("1.5e3") == 1500

@@ -218,6 +218,13 @@ def test_escalation_reaches_off_grid_equilibrium():
     assert res.profile.probs[0] == (F(19, 32), F(13, 32))
 
 
+@pytest.mark.parametrize("max_rounds", [0, -1])
+def test_escalation_rejects_fewer_than_one_round(max_rounds):
+    with pytest.raises(ValueError, match="max_rounds"):
+        solve_escalating(random_game(2, 2, seed=0), F(1, 5), 1,
+                         max_rounds=max_rounds)
+
+
 def test_brute_force_oracle_anti_coordination():
     res = brute_force_oracle(anti_coordination(), 4)
     assert res.support_gap == 0

@@ -3,10 +3,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anongames import (AnonymousGame, MixedProfile, payoff_rows,
                        random_profile, regret_profile, sum_distribution,
                        tv_distance)
+from anongames.games import as_fraction, enumerate_partitions, partition_count
+from anongames.solver import _direct_support_gap
 from anongames.tvlab import poisson_binomial_pmf
 
 
@@ -198,3 +202,78 @@ def test_epsilon_boundary_is_inclusive():
     report = regret_profile(game, prof)
     assert report.is_epsilon_nash(1)
     assert not report.is_epsilon_nash(F(99, 100))
+
+
+# --- the integer lattice kernel against the Fraction reference ---------------
+
+def reference_sum_distribution(vectors, k):
+    """The Fraction dict fold the integer kernel replaced: one exact
+    rational multiply-add per (cell, strategy) pair."""
+    state = {(0,) * k: F(1)}
+    for vec in vectors:
+        vals = [as_fraction(v) for v in vec]
+        nxt = {}
+        for part, mass in state.items():
+            for ell, p in enumerate(vals):
+                if p == 0:
+                    continue
+                key = part[:ell] + (part[ell] + 1,) + part[ell + 1:]
+                nxt[key] = nxt.get(key, F(0)) + mass * p
+        state = nxt
+    return tuple(state.get(part, F(0)) for part in enumerate_partitions(len(vectors), k))
+
+
+def reference_payoff_rows(game, dist, players):
+    return [tuple(sum(u * m for u, m in zip(row, dist.mass))
+                  for row in game.utilities[p]) for p in players]
+
+
+def _composition(total, k):
+    """k non-negative integers summing to total, zeros included."""
+    cuts = st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)
+    return cuts.map(lambda c: [b - a for a, b in zip([0] + sorted(c), sorted(c) + [total])])
+
+
+def _grid_row(k, denominators=(1, 2, 7, 16, 160, 1000)):
+    return st.sampled_from(denominators).flatmap(
+        lambda d: _composition(d, k).map(lambda c: tuple(F(x, d) for x in c)))
+
+
+def _dyadic_float_row(k):
+    return st.integers(0, 10).flatmap(
+        lambda bits: _composition(2 ** bits, k).map(
+            lambda c: tuple(x / 2 ** bits for x in c)))
+
+
+_UTILITIES = (F(0), F(1), F(1, 2), F(1, 3), F(2, 7), F(5, 16), F(999, 1000), F(0.1))
+
+
+@st.composite
+def _game(draw, n, k):
+    size = partition_count(n - 1, k)
+    entry = st.sampled_from(_UTILITIES)
+    return AnonymousGame(n=n, k=k, utilities=tuple(
+        tuple(tuple(draw(st.lists(entry, min_size=size, max_size=size)))
+              for _ in range(k)) for _ in range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(0, 9)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(
+        _grid_row(kn[0]) | _dyadic_float_row(kn[0]), min_size=kn[1], max_size=kn[1]))))
+def test_integer_fold_matches_fraction_fold(case):
+    k, rows = case
+    assert sum_distribution(rows, k=k).mass == reference_sum_distribution(rows, k)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(2, 3)).flatmap(
+    lambda nk: st.tuples(_game(*nk), st.lists(
+        _grid_row(nk[1], denominators=(16,)), min_size=nk[0], max_size=nk[0]))))
+def test_integer_payoffs_match_fraction_contraction_and_oracle(case):
+    game, rows = case
+    dist = sum_distribution(rows[1:], k=game.k)
+    players = range(game.n)
+    assert payoff_rows(game, dist, players) == reference_payoff_rows(game, dist, players)
+    report = regret_profile(game, MixedProfile(probs=tuple(rows)))
+    assert report.max_support_gap == _direct_support_gap(game, rows)
