@@ -14,7 +14,7 @@ from .minimax import (MinimaxResult, ObjectiveFunctions, minimax_oracle,
 from .normal_form import (NormalFormGame, nf_regret, parse_nf_game,
                           perturbation_check, quasi_solve, serialize_nf_game)
 from .solver import (OracleResult, QuantizedStrategySet, SolveResult,
-                     best_response_edges, bit_bound, brute_force_oracle,
+                     best_response_edges, brute_force_oracle,
                      enumerate_quantized_strategies, enumerate_theta,
                      max_flow_assign, ptas_solve, solve_escalating)
 from .sumdist import (RegretReport, SumDistribution, payoff_rows,

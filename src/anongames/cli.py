@@ -4,7 +4,7 @@ Exit codes are part of the contract so escalation loops can be scripted:
 0 on success, 1 when a requested certification honestly failed (nothing
 certified, nothing written), 2 on usage or validation errors.  All
 randomness flows through explicit --seed flags and every output is
-byte-deterministic given the flags, --jobs included.
+byte-deterministic given the flags, tv-experiment's --jobs included.
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ def cmd_solve(args) -> int:
         raise SystemExit2(f"z must be >= 1, got {args.z}")
     game = parse_game(_read(args.game))
     if args.escalate:
-        result = solve_escalating(game, eps, args.z, budget=args.budget,
-                                  jobs=args.jobs)
+        result = solve_escalating(game, eps, args.z, budget=args.budget)
     else:
-        result = ptas_solve(game, eps, args.z, jobs=args.jobs)
+        result = ptas_solve(game, eps, args.z)
     if not result.certified:
         print(f"solve: no feasible strategy split at z={args.z}; nothing certified")
         return 1
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="double z and retry until certified or out of budget")
     p.add_argument("--budget", type=float, default=None,
                    help="escalation time budget in seconds")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="profile.json")
     p.set_defaults(func=cmd_solve)
 

@@ -83,13 +83,21 @@ def partition_count(m: int, k: int) -> int:
 def iter_partitions(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of non-negative integers summing to m (m >= 0, k >= 1),
     lazily, in ascending lexicographic order with the first coordinate most
-    significant."""
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in iter_partitions(m - first, k - 1):
-            yield (first,) + rest
+    significant.  Each successor moves one unit from the rightmost non-zero
+    part t to part t-1 and piles the rest of part t on the last part, so a
+    step costs O(k) rather than a tuple concatenation per level."""
+    parts = [0] * (k - 1) + [m]
+    while True:
+        yield tuple(parts)
+        t = k - 1
+        while t > 0 and parts[t] == 0:
+            t -= 1
+        if t == 0:
+            return
+        rest = parts[t] - 1
+        parts[t] = 0
+        parts[t - 1] += 1
+        parts[k - 1] = rest
 
 
 @lru_cache(maxsize=None)
@@ -172,16 +180,6 @@ class AnonymousGame:
     def utility(self, player: int, strategy: int, partition: Sequence[int]) -> Fraction:
         rank = partition_rank(partition, m=self.n - 1, k=self.k)
         return self.utilities[player][strategy][rank]
-
-    def min_nonzero_utility(self) -> Fraction | None:
-        """Smallest non-zero utility value, or None if all payoffs are zero."""
-        best = None
-        for per_player in self.utilities:
-            for row in per_player:
-                for v in row:
-                    if v > 0 and (best is None or v < best):
-                        best = v
-        return best
 
 
 @dataclass(frozen=True)

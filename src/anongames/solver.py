@@ -8,18 +8,21 @@ response; feasible assignments are then certified by the exact regret
 computation, so the answer never depends on the unestimated constants of
 the cover construction: a returned equilibrium is proven, and the loop
 escalates z when none is found.
+
+Whether a player may take sigma under split theta depends only on the
+opponents' split theta - e_sigma (n-1 players), so one search computes
+each player's best-response bitmask against each such split once, and
+rejects a split before any flow when some sigma has fewer willing players
+than theta puts on it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
-from contextlib import closing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import GuardExceeded
@@ -63,6 +66,51 @@ def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
     return iter_partitions(n, num_strategies)
 
 
+def _support_masks(strat_set: QuantizedStrategySet) -> list[int]:
+    """supports[sigma]: the bitmask of the pure strategies sigma plays."""
+    return [sum(1 << s for s, v in enumerate(sigma) if v > 0)
+            for sigma in strat_set.strategies]
+
+
+def _response_masks(game: AnonymousGame, strat_set: QuantizedStrategySet,
+                    opponents: tuple[int, ...], delta: Fraction) -> tuple[int, ...]:
+    """B_p for every player p: the bitmask of p's pure strategies within
+    delta (non-strict) of p's best pure response when the other n-1 players
+    play the quantized strategies `opponents`, an ascending tuple of
+    strategy indices (the split theta - e_sigma as a multiset)."""
+    rows = [strat_set.strategies[tau] for tau in opponents]
+    payoffs = payoff_rows(game, sum_distribution(rows, k=game.k), range(game.n))
+    masks = []
+    for row in payoffs:
+        threshold = max(row) - delta
+        masks.append(sum(1 << s for s, v in enumerate(row) if v >= threshold))
+    return tuple(masks)
+
+
+def _edge_lists(theta: Sequence[int], supports: Sequence[int], masks_of,
+                n: int, prune: bool) -> list[list[int]] | None:
+    """Adjacency lists, in sigma order: player p may take sigma iff theta
+    puts someone on sigma and supp sigma is inside B_p(theta - e_sigma), as
+    `masks_of` gives it for the ascending tuple of the opponents' strategy
+    indices.  With `prune`, None as soon as some sigma has fewer than
+    theta[sigma] players that may take it."""
+    edges: list[list[int]] = [[] for _ in range(n)]
+    players = [tau for tau, count in enumerate(theta) if count for _ in range(count)]
+    at = 0
+    while at < n:
+        sigma_idx = players[at]
+        count = theta[sigma_idx]
+        masks = masks_of(tuple(players[:at] + players[at + 1:]))
+        support = supports[sigma_idx]
+        accepting = [p for p, mask in enumerate(masks) if mask & support == support]
+        if prune and len(accepting) < count:
+            return None
+        for p in accepting:
+            edges[p].append(sigma_idx)
+        at += count
+    return edges
+
+
 def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
                         theta: Sequence[int], delta) -> list[list[int]]:
     """Adjacency lists of the assignment graph: player i may take strategy
@@ -73,23 +121,10 @@ def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
     if sum(theta) != game.n:
         raise ValueError("theta must split exactly n players")
     delta = as_fraction(delta)
-    edges: list[list[int]] = [[] for _ in range(game.n)]
-    for sigma_idx, count in enumerate(theta):
-        if count == 0:
-            continue
-        sigma = strat_set.strategies[sigma_idx]
-        opponents = []
-        for tau_idx, tau_count in enumerate(theta):
-            copies = tau_count - (1 if tau_idx == sigma_idx else 0)
-            opponents.extend([strat_set.strategies[tau_idx]] * copies)
-        dist = sum_distribution(opponents, k=game.k)
-        payoffs = payoff_rows(game, dist, range(game.n))
-        support = [s for s in range(game.k) if sigma[s] > 0]
-        for p in range(game.n):
-            best = max(payoffs[p])
-            if all(payoffs[p][s] >= best - delta for s in support):
-                edges[p].append(sigma_idx)
-    return edges
+    return _edge_lists(
+        theta, _support_masks(strat_set),
+        lambda opponents: _response_masks(game, strat_set, opponents, delta),
+        game.n, prune=False)
 
 
 def max_flow_assign(edges: Sequence[Sequence[int]], theta: Sequence[int],
@@ -162,49 +197,7 @@ class SolveResult:
     epsilon: Fraction
 
 
-def _hits(game, strat_set, indexed, epsilon):
-    """(idx, theta, profile, support gap, approx regret) for each indexed
-    split whose assignment graph has a perfect flow, lazily, in input
-    order.  The gaps are the exact certification of those profiles."""
-    for idx, theta in indexed:
-        edges = best_response_edges(game, strat_set, theta, epsilon)
-        if any(not e for e in edges):
-            continue
-        assignment = max_flow_assign(edges, theta, game.n)
-        if assignment is None:
-            continue
-        profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
-        report = regret_profile(game, profile)
-        yield idx, theta, profile, report.max_support_gap, report.max_approx_regret
-
-
-def _theta_block_worker(args):
-    return list(_hits(*args))
-
-
-def _feasible_splits(game, strat_set, epsilon, jobs):
-    """The hits of every split in lex order: evaluated lazily in this
-    process, or in blocks of splits over `jobs` worker processes."""
-    indexed = enumerate(enumerate_theta(game.n, len(strat_set)))
-    if jobs == 1:
-        yield from _hits(game, strat_set, indexed, epsilon)
-        return
-    block_size = 256
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        while True:
-            while len(pending) < jobs * 2:
-                block = list(islice(indexed, block_size))
-                if not block:
-                    break
-                pending.append(pool.submit(
-                    _theta_block_worker, (game, strat_set, block, epsilon)))
-            if not pending:
-                return
-            yield from pending.popleft().result()
-
-
-def ptas_solve(game: AnonymousGame, epsilon, z: int, jobs: int = 1) -> SolveResult:
+def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
     """Search all player splits over the quantized strategies for the first
     (lex order) one whose assignment graph has a perfect flow.
 
@@ -214,28 +207,48 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int, jobs: int = 1) -> SolveResu
     The exact support gap is still computed and checked, so soundness
     never leans on that argument or on the cover constants.  When no split
     has a perfect flow the result is uncertified, with no profile.
+
+    The edge test for (theta, sigma) depends only on the opponents' split
+    theta - e_sigma, so each player's best-response bitmask against such a
+    split is computed once per call and kept in a memo that lives only for
+    this call.  A split is rejected without a flow as soon as some sigma
+    has fewer than theta[sigma] players that may take it.
     """
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     strat_set = enumerate_quantized_strategies(game.k, z)
+    supports = _support_masks(strat_set)
+    memo: dict[tuple, tuple] = {}
 
-    with closing(_feasible_splits(game, strat_set, epsilon, jobs)) as hits:
-        hit = next(hits, None)
-    if hit is None:
-        checked = partition_count(game.n, len(strat_set))
-        return SolveResult(False, None, None, None, None, checked, z, epsilon)
-    idx, theta, profile, gap, approx = hit
-    if gap > epsilon:
-        raise RuntimeError(f"split {theta} has a perfect flow but support gap "
-                           f"{gap} > epsilon; this cannot happen and indicates a bug")
-    return SolveResult(True, profile, gap, approx, theta, idx + 1, z, epsilon)
+    def masks_of(opponents):
+        masks = memo.get(opponents)
+        if masks is None:
+            masks = memo[opponents] = _response_masks(game, strat_set, opponents,
+                                                      epsilon)
+        return masks
+
+    for idx, theta in enumerate(enumerate_theta(game.n, len(strat_set))):
+        edges = _edge_lists(theta, supports, masks_of, game.n, prune=True)
+        if edges is None or not all(edges):
+            continue
+        assignment = max_flow_assign(edges, theta, game.n)
+        if assignment is None:
+            continue
+        profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
+        report = regret_profile(game, profile)
+        if report.max_support_gap > epsilon:
+            raise RuntimeError(f"split {theta} has a perfect flow but support gap "
+                               f"{report.max_support_gap} > epsilon; this cannot "
+                               f"happen and indicates a bug")
+        return SolveResult(True, profile, report.max_support_gap,
+                           report.max_approx_regret, theta, idx + 1, z, epsilon)
+    checked = partition_count(game.n, len(strat_set))
+    return SolveResult(False, None, None, None, None, checked, z, epsilon)
 
 
 def solve_escalating(game: AnonymousGame, epsilon, z: int,
-                     budget: float | None = None, jobs: int = 1,
+                     budget: float | None = None,
                      max_rounds: int = 8) -> SolveResult:
     """Retry with z doubled until certified, the round budget (seconds,
     checked between rounds) runs out, or max_rounds is hit.  Returns the
@@ -247,7 +260,7 @@ def solve_escalating(game: AnonymousGame, epsilon, z: int,
     current_z = z
     for round_no in range(max_rounds):
         try:
-            result = ptas_solve(game, epsilon, current_z, jobs=jobs)
+            result = ptas_solve(game, epsilon, current_z)
         except GuardExceeded:
             if round_no == 0:
                 raise          # not even the requested z fits the cap
@@ -314,12 +327,3 @@ def brute_force_oracle(game: AnonymousGame, grid: int) -> OracleResult:
                 break
     return OracleResult(profile=MixedProfile(probs=best_rows), support_gap=best_gap)
 
-
-def bit_bound(n: int, z: int, k: int, u_min) -> int:
-    """ceil(1 + n(k + log2 z) + log2(1/u_min)): the bit budget sufficient
-    for exact expected-utility values when all strategies live on the
-    quantized grid and u_min is the smallest non-zero payoff."""
-    u_min = as_fraction(u_min)
-    if u_min <= 0:
-        raise ValueError("u_min must be positive")
-    return math.ceil(1 + n * (k + math.log2(z)) + math.log2(1 / float(u_min)))

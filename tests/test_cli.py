@@ -231,9 +231,6 @@ MALFORMED_INPUTS = {
     "minimax-float-dimension": (
         ("minimax", "--funcs", "bad.json", "--epsilon", "1/2"),
         {"bad.json": {"n": 2.0, "functions": [["0/1", "1/2", "1/1"]]}}),
-    "solve-jobs-zero": (
-        ("solve", "--game", "GAME", "--epsilon", "1/10", "--z", "1", "--jobs", "0",
-         "--out", "out.json"), {}),
     "tv-experiment-jobs-zero": (
         ("tv-experiment", "--k", "2", "--z", "5", "--n", "2", "--trials", "1",
          "--seed", "0", "--jobs", "0", "--out", "out.csv"), {}),
@@ -284,8 +281,7 @@ def test_every_subcommand_byte_deterministic(workdir):
 
     matrix = [
         ("gen", "--n", 2, "--k", 2, "--seed", 5, "--out", "OUT"),
-        ("solve", "--game", game_path, "--epsilon", "1/10", "--z", 1,
-         "--jobs", 4, "--out", "OUT"),
+        ("solve", "--game", game_path, "--epsilon", "1/10", "--z", 1, "--out", "OUT"),
         ("verify", "--game", game_path, "--profile", prof_path,
          "--epsilon", "1/1"),
         ("discretize", "--profile", prof_path, "--z", 10, "--out", "OUT"),

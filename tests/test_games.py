@@ -19,13 +19,12 @@ def test_enumerate_small_cases():
 
 
 def test_enumerate_counts_distinct_sorted():
-    for m in range(9):
-        for k in range(1, 6):
-            parts = enumerate_partitions(m, k)
-            assert len(parts) == math.comb(m + k - 1, k - 1) == partition_count(m, k)
-            assert len(set(parts)) == len(parts)
-            assert list(parts) == sorted(parts)
-            assert all(sum(p) == m and min(p) >= 0 for p in parts)
+    for m, k in [(m, k) for m in range(9) for k in range(1, 6)] + [(3, 40), (1, 153)]:
+        parts = enumerate_partitions(m, k)
+        assert len(parts) == math.comb(m + k - 1, k - 1) == partition_count(m, k)
+        assert len(set(parts)) == len(parts)
+        assert list(parts) == sorted(parts)
+        assert all(sum(p) == m and min(p) >= 0 for p in parts)
 
 
 def test_rank_is_inverse_of_enumerate():

@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anongames import (GuardExceeded, RegretReport, partition_count,
-                       payoff_rows, random_game, regret_profile,
-                       sum_distribution)
-from anongames.solver import (best_response_edges, bit_bound,
+from anongames import (GuardExceeded, MixedProfile, RegretReport,
+                       partition_count, payoff_rows, random_game,
+                       regret_profile, sum_distribution)
+from anongames.solver import (SolveResult, best_response_edges,
                               brute_force_oracle, enumerate_quantized_strategies,
                               enumerate_theta, max_flow_assign, ptas_solve,
                               solve_escalating)
@@ -163,16 +166,113 @@ def test_ptas_result_profile_is_quantized_and_certified():
         assert report.max_support_gap == res.support_gap <= F(1, 5)
 
 
-def test_ptas_jobs_match_serial():
+def reference_best_response_edges(game, strat_set, theta, delta):
+    """The per-split edge construction the memoized search replaced: one
+    opponent fold and one set of payoff rows per sigma in supp theta."""
+    edges = [[] for _ in range(game.n)]
+    for sigma_idx, count in enumerate(theta):
+        if count == 0:
+            continue
+        sigma = strat_set.strategies[sigma_idx]
+        opponents = []
+        for tau_idx, tau_count in enumerate(theta):
+            copies = tau_count - (1 if tau_idx == sigma_idx else 0)
+            opponents.extend([strat_set.strategies[tau_idx]] * copies)
+        payoffs = payoff_rows(game, sum_distribution(opponents, k=game.k),
+                              range(game.n))
+        support = [s for s in range(game.k) if sigma[s] > 0]
+        for p in range(game.n):
+            best = max(payoffs[p])
+            if all(payoffs[p][s] >= best - delta for s in support):
+                edges[p].append(sigma_idx)
+    return edges
+
+
+def reference_ptas_solve(game, epsilon, z):
+    """The lex-ordered search over every split with the reference edges."""
+    strat_set = enumerate_quantized_strategies(game.k, z)
+    for idx, theta in enumerate(enumerate_theta(game.n, len(strat_set))):
+        edges = reference_best_response_edges(game, strat_set, theta, epsilon)
+        assignment = max_flow_assign(edges, theta, game.n)
+        if assignment is None:
+            continue
+        profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
+        report = regret_profile(game, profile)
+        return SolveResult(True, profile, report.max_support_gap,
+                           report.max_approx_regret, theta, idx + 1, z, epsilon)
+    checked = partition_count(game.n, len(strat_set))
+    return SolveResult(False, None, None, None, None, checked, z, epsilon)
+
+
+EPSILONS = (F(1, 10 ** 6), F(1, 1000), F(1, 10), F(1, 5))
+
+
+def _random_theta(n, num_strategies):
+    return st.lists(st.integers(0, num_strategies - 1), min_size=n, max_size=n).map(
+        lambda picks: tuple(picks.count(s) for s in range(num_strategies)))
+
+
+def _edge_case(nkz):
+    n, k, z = nkz
+    num_strategies = len(enumerate_quantized_strategies(k, z))
+    return st.tuples(st.just(nkz), st.integers(0, 2 ** 16),
+                     _random_theta(n, num_strategies),
+                     st.sampled_from((F(0),) + EPSILONS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 5), st.integers(2, 3), st.integers(1, 2))
+       .flatmap(_edge_case))
+def test_edges_match_reference_construction(case):
+    (n, k, z), seed, theta, delta = case
+    game = random_game(n, k, seed)
+    strat_set = enumerate_quantized_strategies(k, z)
+    assert (best_response_edges(game, strat_set, theta, delta)
+            == reference_best_response_edges(game, strat_set, theta, delta))
+
+
+# (n, k, z) whose every search, exhaustive ones included, the reference
+# loop finishes in well under a second: at most 1287 splits
+SMALL_SEARCHES = tuple((n, k, z) for n in range(2, 6) for k in (2, 3) for z in (1, 2)
+                       if partition_count(n, len(enumerate_quantized_strategies(k, z)))
+                       <= 1287)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SMALL_SEARCHES), st.integers(0, 2 ** 16),
+       st.sampled_from(EPSILONS))
+def test_memoized_search_matches_reference_search(nkz, seed, epsilon):
+    n, k, z = nkz
+    game = random_game(n, k, seed)
+    assert ptas_solve(game, epsilon, z) == reference_ptas_solve(game, epsilon, z)
+
+
+def test_ptas_matches_reference_search():
     # one certified search and one that finds nothing within eps and so
     # visits every split (C(4 + 5 - 1, 4) = 70 of them)
     for game, eps, z in ((random_game(3, 2, seed=2), F(1, 5), 2),
                          (random_game(4, 2, seed=1), F(1, 10 ** 6), 1)):
         a = ptas_solve(game, eps, z=z)
-        b = ptas_solve(game, eps, z=z, jobs=4)
-        assert a == b
+        assert a == reference_ptas_solve(game, eps, z)
     assert not a.certified
     assert a.thetas_checked == partition_count(4, 5) == 70
+
+
+def test_search_folds_each_opponent_split_at_most_once(monkeypatch):
+    # the edge test for (theta, sigma) depends only on theta - e_sigma, a
+    # split of the 3 opponents over 5 strategies: at most C(3 + 5 - 1, 3)
+    # = 35 folds, against one per (theta, sigma in supp theta) per split
+    folds = Counter()
+
+    def counted(vectors, k=None):
+        folds[tuple(sorted(map(tuple, vectors)))] += 1
+        return sum_distribution(vectors, k=k)
+
+    monkeypatch.setattr("anongames.solver.sum_distribution", counted)
+    res = ptas_solve(random_game(4, 2, seed=1), F(1, 10 ** 6), z=1)
+    assert not res.certified and res.thetas_checked == 70
+    assert 0 < sum(folds.values()) <= partition_count(3, 5) == 35
+    assert max(folds.values()) == 1
 
 
 def test_ptas_certifies_or_exhausts_with_no_profile():
@@ -201,7 +301,7 @@ def test_ptas_failed_certification_is_a_bug(monkeypatch):
 
     monkeypatch.setattr("anongames.solver.regret_profile", inflated)
     with pytest.raises(RuntimeError, match="indicates a bug"):
-        ptas_solve(anti_coordination(), F(1, 10), z=1, jobs=1)
+        ptas_solve(anti_coordination(), F(1, 10), z=1)
 
 
 def test_escalation_reaches_off_grid_equilibrium():
@@ -242,29 +342,3 @@ def test_oracle_vs_ptas_cross_check():
         oracle = brute_force_oracle(game, 8)
         assert res.certified
         assert oracle.support_gap <= res.support_gap + F(1, 5)
-
-
-def test_bit_bound_on_expected_utility_denominators():
-    # utilities on a coarse grid keep u_min large; the exact expected
-    # utilities must fit in the closed-form bit budget
-    from anongames import AnonymousGame
-    from anongames.games import enumerate_partitions
-    rng = random.Random(5)
-    n, k, z = 3, 2, 2
-    parts = enumerate_partitions(n - 1, k)
-    table = tuple(
-        tuple(tuple(F(rng.randint(1, 16), 16) for _ in parts) for _ in range(k))
-        for _ in range(n))
-    game = AnonymousGame(n=n, k=k, utilities=table)
-    u_min = game.min_nonzero_utility()
-    budget = bit_bound(n, z, k, u_min)
-    ss = enumerate_quantized_strategies(k, z)
-    for sigma in ss.strategies[:6]:
-        dist = sum_distribution([sigma] * (n - 1), k=k)
-        for value in payoff_rows(game, dist, [0])[0]:
-            assert value.denominator.bit_length() <= budget
-
-
-def test_bit_bound_rejects_zero_umin():
-    with pytest.raises(ValueError):
-        bit_bound(2, 1, 2, 0)
