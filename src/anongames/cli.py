@@ -19,7 +19,8 @@ from . import (DEFAULT_ALPHA, GameFormatError, GuardExceeded, discretize_profile
                parse_game, parse_nf_game, parse_profile, ptas_solve, quasi_solve,
                random_game, regret_profile, rows_to_csv, serialize_game,
                serialize_profile, solve_escalating)
-from .games import MixedProfile, as_fraction, profile_support
+from .games import MixedProfile, as_fraction, partition_count, profile_support
+from .guards import LATTICE_CAP, check_guard
 from .sumdist import sum_distribution
 from .tdp import build_tdp_tree, format_tree
 
@@ -79,6 +80,11 @@ def cmd_solve(args) -> int:
     eps = _check_epsilon(args.epsilon)
     if args.z < 1:
         raise SystemExit2(f"z must be >= 1, got {args.z}")
+    if args.budget is not None:
+        if not args.escalate:
+            raise SystemExit2("--budget limits escalation rounds; it needs --escalate")
+        if not args.budget >= 0:
+            raise SystemExit2(f"budget must be >= 0 seconds, got {args.budget}")
     game = parse_game(_read(args.game))
     if args.escalate:
         result = solve_escalating(game, eps, args.z, budget=args.budget)
@@ -113,6 +119,9 @@ def cmd_discretize(args) -> int:
     if args.z < 2:
         raise SystemExit2(f"z must be >= 2, got {args.z}")
     profile = parse_profile(_read(args.profile))
+    if args.sumdist_out:
+        check_guard(partition_count(profile.n, profile.k),
+                    f"partition lattice for k={profile.k}, n={profile.n}", LATTICE_CAP)
     disc = discretize_profile(profile, args.z, args.alpha)
     _write(args.out, serialize_profile(disc.to_profile()))
     print(f"discretize: z={args.z} alpha={args.alpha} -> {args.out}")
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--escalate", action="store_true",
                    help="double z and retry until certified or out of budget")
     p.add_argument("--budget", type=float, default=None,
-                   help="escalation time budget in seconds")
+                   help="escalation time budget in seconds (needs --escalate)")
     p.add_argument("--out", default="profile.json")
     p.set_defaults(func=cmd_solve)
 

@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GameFormatError
+from .guards import LATTICE_CAP, check_guard
 
 Partition = tuple  # a k-tuple of non-negative ints
 
@@ -277,8 +278,10 @@ def random_game(n: int, k: int, seed: int) -> AnonymousGame:
     """
     if n < 2 or k < 2:
         raise GameFormatError("anonymous game needs n >= 2 and k >= 2")
+    size = partition_count(n - 1, k)
+    check_guard(n * k * size, f"utility table for n={n}, k={k}", LATTICE_CAP)
     rng = np.random.default_rng(seed)
-    table = rng.random((n, k, partition_count(n - 1, k)))
+    table = rng.random((n, k, size))
     utilities = tuple(
         tuple(tuple(Fraction(float(v)) for v in row) for row in per_player)
         for per_player in table)

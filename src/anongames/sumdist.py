@@ -5,12 +5,13 @@ p_i(l), lives on the partition lattice Pi^k_n.  The full distribution is
 computed by iterative convolution, growing the lattice one vector at a
 time.  The arithmetic is exact and runs on integers: each row is written
 as integer numerators over the lcm d_i of its denominators (float inputs
-are promoted to their exact dyadic values first), the fold multiplies and
-adds those integers over the one denominator d_1 * ... * d_n, and the
-division happens once, when the finished masses become `Fraction`s.
-Expected payoffs contract integer numerators the same way.  Callers that
-want floats (the total-variation experiments) convert the finished law
-with `SumDistribution.to_floats`.
+are promoted to their exact dyadic values first), and the fold multiplies
+and adds those integers over the one denominator d_1 * ... * d_n.  The
+finished law is kept in that form, as integer counts over one denominator
+in lowest terms.  Expected payoffs contract the counts directly; callers
+that want floats (the total-variation experiments) read
+`SumDistribution.floats`, and `SumDistribution.mass` gives the exact
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -28,11 +29,23 @@ from .games import (AnonymousGame, MixedProfile, as_fraction,
 
 @dataclass(frozen=True)
 class SumDistribution:
-    """Probability mass over Pi^k_m, indexed by canonical partition rank."""
+    """Probability mass over Pi^k_m, indexed by canonical partition rank:
+    cell r has mass counts[r] / den, with gcd(den, *counts) == 1, so two
+    laws are equal exactly when they compare equal."""
 
     m: int
     k: int
-    mass: tuple
+    counts: tuple
+    den: int
+
+    @property
+    def mass(self) -> tuple:
+        """The exact masses, as `Fraction`s in lowest terms."""
+        return tuple(Fraction(c, self.den) for c in self.counts)
+
+    def floats(self) -> tuple:
+        """The masses as correctly rounded floats (int / int rounds once)."""
+        return tuple(c / self.den for c in self.counts)
 
     def support(self) -> tuple:
         return enumerate_partitions(self.m, self.k)
@@ -40,12 +53,9 @@ class SumDistribution:
     def as_dict(self) -> dict:
         return dict(zip(self.support(), self.mass))
 
-    def to_floats(self) -> "SumDistribution":
-        return SumDistribution(self.m, self.k, tuple(float(v) for v in self.mass))
-
     def to_csv(self) -> str:
         lines = ["partition_rank,mass"]
-        lines += [f"{r},{float(v)!r}" for r, v in enumerate(self.mass)]
+        lines += [f"{r},{v!r}" for r, v in enumerate(self.floats())]
         return "\n".join(lines) + "\n"
 
 
@@ -79,8 +89,8 @@ def sum_distribution(vectors: Sequence[Sequence],
     lattice grows with the fold (after i vectors the state lives on
     Pi^k_i), which keeps memory at the final lattice size.  The fold runs
     on integers: row i enters as numerators over its own denominator d_i,
-    the state holds numerators over d_1 * ... * d_i, and each mass is
-    divided by that product once, at the end.  An empty input is the
+    and the state holds numerators over d_1 * ... * d_i, which is the
+    finished law, in lowest terms.  An empty input is the
     convolution identity: a point mass at the all-zero partition (k must
     then be given explicitly).
     """
@@ -106,40 +116,28 @@ def sum_distribution(vectors: Sequence[Sequence],
         counts = nxt
         den *= d
 
+    # Lowest terms already: each row's numerators are coprime (d is the lcm
+    # of reduced denominators), and the counts are the coefficients of the
+    # product of the rows' linear forms, so by Gauss's lemma they are too.
     assert sum(counts) == den
-    mass = tuple(Fraction(c, den) for c in counts)
-    return SumDistribution(m=len(vectors), k=k, mass=mass)
+    return SumDistribution(m=len(vectors), k=k, counts=tuple(counts), den=den)
 
 
-def tv_distance(p: SumDistribution, q: SumDistribution):
-    """Total variation distance, (1/2) * sum |P(a) - Q(a)|.
-
-    Exact when both masses are rational, float otherwise.
-    """
+def tv_distance(p: SumDistribution, q: SumDistribution) -> Fraction:
+    """Exact total variation distance, (1/2) * sum |P(a) - Q(a)|."""
     if (p.m, p.k) != (q.m, q.k):
         raise ValueError(f"mismatched lattices: Pi^{p.k}_{p.m} vs Pi^{q.k}_{q.m}")
-    return sum(abs(a - b) for a, b in zip(p.mass, q.mass)) / 2
+    return Fraction(sum(abs(a * q.den - b * p.den) for a, b in zip(p.counts, q.counts)),
+                    2 * p.den * q.den)
 
 
-def poisson_binomial_pmf(probs: Sequence, exact: bool = True) -> tuple:
-    """pmf of a sum of independent Bernoullis over {0..n}.  Exact mode is
-    the k=2 law of sum_distribution (partition (j, n-j) has rank j); float
-    mode is the standard one-row DP."""
-    ps = [as_fraction(p) if exact else float(p) for p in probs]
+def poisson_binomial_pmf(probs: Sequence) -> tuple:
+    """Exact pmf of a sum of independent Bernoullis over {0..n}: the k=2
+    law of sum_distribution (partition (j, n-j) has rank j)."""
+    ps = [as_fraction(p) for p in probs]
     if any(p < 0 or p > 1 for p in ps):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
-    if exact:
-        return sum_distribution([(p, 1 - p) for p in ps], k=2).mass
-    pmf = [1.0]
-    for p in ps:
-        nxt = [0.0] * (len(pmf) + 1)
-        for j, mass in enumerate(pmf):
-            if mass == 0:
-                continue
-            nxt[j] += mass * (1 - p)
-            nxt[j + 1] += mass * p
-        pmf = nxt
-    return tuple(pmf)
+    return sum_distribution([(p, 1 - p) for p in ps], k=2).mass
 
 
 def payoff_rows(game: AnonymousGame, dist: SumDistribution,
@@ -148,14 +146,13 @@ def payoff_rows(game: AnonymousGame, dist: SumDistribution,
     s for p = players[j] when the opponents' partition x has law `dist`,
     which must live on Pi^k_{n-1}.
 
-    The contraction runs on integers: the masses become counts over den,
-    the lcm of their denominators, each utility row becomes numerators
-    over its own lcm L, and each payoff is one division by den * L."""
+    The contraction runs on integers: the law's counts over its den meet
+    each utility row as numerators over the row's lcm L, and each payoff
+    is one division by den * L."""
     if (dist.m, dist.k) != (game.n - 1, game.k):
         raise ValueError(f"opponent law on Pi^{dist.k}_{dist.m}, expected "
                          f"Pi^{game.k}_{game.n - 1}")
-    den = math.lcm(*(m.denominator for m in dist.mass))
-    counts = [m.numerator * (den // m.denominator) for m in dist.mass]
+    counts, den = dist.counts, dist.den
     rows = []
     for p in players:
         payoffs = []

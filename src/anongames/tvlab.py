@@ -23,7 +23,7 @@ import numpy as np
 from .discretize import DEFAULT_ALPHA, discretize_profile
 from .games import (MixedProfile, as_fraction, partition_count, random_profile)
 from .guards import LATTICE_CAP, check_guard
-from .sumdist import poisson_binomial_pmf, sum_distribution, tv_distance
+from .sumdist import poisson_binomial_pmf, sum_distribution
 from .tdp import floor_root_power
 
 PMF_TAIL = 1e-12   # truncate Poisson-family pmfs where the tail is below this
@@ -88,7 +88,7 @@ def poisson_tv_check(probs: Sequence, z: int, alpha) -> BoundCheck:
     ps = [as_fraction(p) for p in probs]
     if any(p > threshold for p in ps):
         raise ValueError(f"all Bernoulli parameters must be <= {threshold}")
-    pb = np.array(poisson_binomial_pmf(ps, exact=False))
+    pb = np.array([float(m) for m in poisson_binomial_pmf(ps)])
     lam = float(sum(ps))
     po = _poisson_pmf_truncated(lam)
     tv = _tv_aligned(pb, 0, po, 0)
@@ -145,9 +145,9 @@ def discretization_tv(profile: MixedProfile, z: int,
     n, k = profile.n, profile.k
 
     def tv_of(rows_a, rows_b):
-        pa = sum_distribution(rows_a, k=k).to_floats()
-        pb = sum_distribution(rows_b, k=k).to_floats()
-        return tv_distance(pa, pb)
+        pa = sum_distribution(rows_a, k=k).floats()
+        pb = sum_distribution(rows_b, k=k).floats()
+        return sum(abs(a - b) for a, b in zip(pa, pb)) / 2
 
     tv = tv_of(profile.probs, disc.probs)
     loo = 0.0
@@ -219,8 +219,10 @@ def n_independence_experiment(k: int, z_list: Sequence[int], n_list: Sequence[in
     """Discretization TV for every (z, n, trial), rows ordered by (z, n,
     trial) regardless of how the work is scheduled.  Profiles depend on
     (base_seed, n, trial) only, so z-sweeps see the same draws."""
-    if k < 2 or trials < 1 or jobs < 1 or any(n < 1 for n in n_list):
-        raise ValueError("need k >= 2, trials >= 1, jobs >= 1 and every n >= 1")
+    if (k < 2 or trials < 1 or jobs < 1 or not z_list or not n_list
+            or any(n < 1 for n in n_list)):
+        raise ValueError("need k >= 2, trials >= 1, jobs >= 1, at least one z "
+                         "and at least one n, every n >= 1")
     alpha = as_fraction(alpha)
     check_guard(max(partition_count(n, k) for n in n_list),
                 f"partition lattice for k={k}, n={max(n_list)}", LATTICE_CAP)

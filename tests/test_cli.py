@@ -5,8 +5,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import anongames
+from anongames import cli
 from anongames import (parse_game, parse_profile, serialize_game,
                        serialize_nf_game, serialize_functions,
                        NormalFormGame, ObjectiveFunctions)
@@ -176,16 +179,18 @@ def test_solve_escalate_with_budget(workdir):
     assert b"certified at z=1" in out
 
 
-def test_guard_env_var_reported(workdir):
-    game_path = write_anti_coordination(workdir)
-    # A hermetic env keeps any ambient ANON_GUARD_CELLS out; PYTHONPATH points
-    # the child at the same anongames this process imported (src/ or site-packages).
+def run_cli_with_cap_two(*args):
+    """The CLI with every guard capped at 2 cells.  A hermetic env keeps any
+    ambient ANON_GUARD_CELLS out; PYTHONPATH points the child at the same
+    anongames this process imported (src/ or site-packages)."""
     package_root = str(Path(anongames.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "anongames", "solve", "--game", str(game_path),
-         "--epsilon", "1/10", "--z", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "anongames", *map(str, args)],
         capture_output=True, env={"ANON_GUARD_CELLS": "2", "PATH": "/usr/bin:/bin",
                                   "PYTHONPATH": package_root})
+
+
+def assert_guard_error(proc):
     assert proc.returncode == 2
     assert b"exceeding the cap" in proc.stderr
     # reported as a clean usage error, never a crash or an import failure
@@ -194,6 +199,26 @@ def test_guard_env_var_reported(workdir):
     assert b"No module named" not in proc.stderr
     assert proc.stderr.startswith(b"error:")
     assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+
+def test_guard_env_var_reported(workdir):
+    game_path = write_anti_coordination(workdir)
+    assert_guard_error(run_cli_with_cap_two(
+        "solve", "--game", game_path, "--epsilon", "1/10", "--z", "1"))
+
+
+def test_guard_checked_before_any_file_is_written(workdir):
+    # gen allocates n*k*|Pi^k_{n-1}| = 8 table entries and the 2-player
+    # sum law has |Pi^2_2| = 3 cells: both are over a cap of 2
+    prof_path = workdir / "p.json"
+    prof_path.write_bytes(json.dumps(
+        {"k": 2, "n": 2, "probs": [["1/3", "2/3"], ["1/2", "1/2"]]}).encode())
+    assert_guard_error(run_cli_with_cap_two(
+        "gen", "--n", 2, "--k", 2, "--seed", 0, "--out", workdir / "g.json"))
+    assert_guard_error(run_cli_with_cap_two(
+        "discretize", "--profile", prof_path, "--z", 10, "--out", workdir / "d.json",
+        "--sumdist-out", workdir / "d.csv"))
+    assert sorted(p.name for p in workdir.iterdir()) == ["p.json"]
 
 
 # (argv with file placeholders, files written first): every malformed input
@@ -234,6 +259,18 @@ MALFORMED_INPUTS = {
     "tv-experiment-jobs-zero": (
         ("tv-experiment", "--k", "2", "--z", "5", "--n", "2", "--trials", "1",
          "--seed", "0", "--jobs", "0", "--out", "out.csv"), {}),
+    "solve-budget-without-escalate": (
+        ("solve", "--game", "GAME", "--epsilon", "1/10", "--z", "1", "--budget", "0",
+         "--out", "out.json"), {}),
+    "solve-negative-budget": (
+        ("solve", "--game", "GAME", "--epsilon", "1/10", "--z", "1", "--escalate",
+         "--budget", "-5", "--out", "out.json"), {}),
+    "tv-experiment-empty-n": (
+        ("tv-experiment", "--k", "2", "--z", "5", "--n", "", "--trials", "1",
+         "--seed", "0", "--out", "out.csv"), {}),
+    "tv-experiment-empty-z": (
+        ("tv-experiment", "--k", "2", "--z", "", "--n", "2", "--trials", "1",
+         "--seed", "0", "--out", "out.csv"), {}),
     "tv-experiment-k-one": (
         ("tv-experiment", "--k", "1", "--z", "5", "--n", "2", "--trials", "1",
          "--seed", "0", "--out", "out.csv"), {}),
@@ -302,3 +339,64 @@ def test_every_subcommand_byte_deterministic(workdir):
             outputs.append((code, stdout.replace(str(out_file).encode(), b"OUT"),
                             blob))
         assert outputs[0] == outputs[1], row[0]
+
+
+# --- drawn flag values: a run returns an exit code or argparse exits 2 ---------
+
+_NUMBER_TEXT = (st.integers(-3, 8).map(str)
+                | st.sampled_from(["", " ", "x", "1/0", "-1/3", "0.5", "nan", "inf",
+                                   "-inf", "1e-10000000", "1e400", "1,2",
+                                   "99999999999999999999"]))
+_FRACTION_TEXT = (_NUMBER_TEXT
+                  | st.tuples(st.integers(-2, 12), st.integers(0, 12)).map(
+                      lambda ab: f"{ab[0]}/{ab[1]}"))
+_INT_LIST_TEXT = (st.lists(st.integers(-1, 6), max_size=3).map(
+                      lambda xs: ",".join(map(str, xs)))
+                  | st.sampled_from(["", ",", "2,,3", "x", "2.5", "1e3"]))
+_FLAG_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                          database=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _exit_code(argv) -> int:
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        assert exc.code == 2, argv      # argparse rejected a flag
+        return 2
+    assert code in (0, 1, 2), argv
+    return code
+
+
+@_FLAG_SETTINGS
+@given(eps=_FRACTION_TEXT, z=_NUMBER_TEXT, escalate=st.booleans(),
+       budget=st.none() | _NUMBER_TEXT)
+def test_solve_flags_never_crash(tmp_path, eps, z, escalate, budget):
+    game_path = write_anti_coordination(tmp_path)
+    argv = ["solve", "--game", game_path, f"--epsilon={eps}", f"--z={z}",
+            "--out", tmp_path / "out.json"]
+    argv += ["--escalate"] * escalate
+    argv += [] if budget is None else [f"--budget={budget}"]
+    _exit_code(argv)
+
+
+@_FLAG_SETTINGS
+@given(eps=_FRACTION_TEXT)
+def test_verify_flags_never_crash(tmp_path, eps):
+    game_path = write_anti_coordination(tmp_path)
+    prof_path = tmp_path / "p.json"
+    prof_path.write_bytes(json.dumps(
+        {"k": 2, "n": 2, "probs": [["32/100", "68/100"], ["1/2", "1/2"]]}).encode())
+    _exit_code(["verify", "--game", game_path, "--profile", prof_path,
+                f"--epsilon={eps}"])
+
+
+@_FLAG_SETTINGS
+@given(k=st.sampled_from(["1", "2", "3", "x"]), zs=_INT_LIST_TEXT, ns=_INT_LIST_TEXT,
+       trials=st.sampled_from(["0", "1", "2", "-1", ""]))
+def test_tv_experiment_flags_never_crash(tmp_path, k, zs, ns, trials):
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    code = _exit_code(["tv-experiment", f"--k={k}", f"--z={zs}", f"--n={ns}",
+                       f"--trials={trials}", "--seed=0", "--out", out])
+    assert out.exists() == (code == 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,7 +12,9 @@ from anongames import (AnonymousGame, MixedProfile, payoff_rows,
                        tv_distance)
 from anongames.games import as_fraction, enumerate_partitions, partition_count
 from anongames.solver import _direct_support_gap
-from anongames.tvlab import poisson_binomial_pmf
+from anongames.tdp import floor_root_power
+from anongames.tvlab import (_poisson_pmf_truncated, _tv_aligned,
+                             poisson_binomial_pmf, poisson_tv_check)
 
 
 def anti_coordination(n=2):
@@ -277,3 +280,62 @@ def test_integer_payoffs_match_fraction_contraction_and_oracle(case):
     assert payoff_rows(game, dist, players) == reference_payoff_rows(game, dist, players)
     report = regret_profile(game, MixedProfile(probs=tuple(rows)))
     assert report.max_support_gap == _direct_support_gap(game, rows)
+
+
+# --- the law format: counts over one denominator, in lowest terms -----------
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(0, 9)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(
+        _grid_row(kn[0]) | _grid_row(kn[0], denominators=(999983, 2 ** 61 - 1))
+        | _dyadic_float_row(kn[0]), min_size=kn[1], max_size=kn[1]),
+        st.randoms(use_true_random=False))))
+def test_law_is_reduced_counts_with_exact_floats(case):
+    # the prime denominators put den above 2^53 after a few rows, where a
+    # float(c) / float(den) shortcut would round three times
+    k, rows, rng = case
+    d = sum_distribution(rows, k=k)
+    assert math.gcd(d.den, *d.counts) == 1
+    assert sum(d.counts) == d.den
+    assert [x.hex() for x in d.floats()] == [float(m).hex() for m in d.mass]
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert sum_distribution(shuffled, k=k) == d
+
+
+def reference_float_poisson_binomial(probs):
+    """The float one-row DP that poisson_tv_check used before it read the
+    exact pmf."""
+    pmf = [1.0]
+    for p in map(float, probs):
+        nxt = [0.0] * (len(pmf) + 1)
+        for j, mass in enumerate(pmf):
+            if mass == 0:
+                continue
+            nxt[j] += mass * (1 - p)
+            nxt[j + 1] += mass * p
+        pmf = nxt
+    return np.array(pmf)
+
+
+@st.composite
+def _admissible_bernoullis(draw):
+    z = draw(st.integers(2, 200))
+    alpha = F(draw(st.integers(1, 9)), 10)
+    threshold = F(floor_root_power(z, alpha), z)
+    numerators = st.integers(0, threshold.numerator)
+    probs = draw(st.lists(numerators, max_size=60))
+    return [F(a, threshold.denominator) for a in probs], z, alpha
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_admissible_bernoullis())
+def test_poisson_check_on_exact_pmf_matches_float_dp(case):
+    probs, z, alpha = case
+    chk = poisson_tv_check(probs, z, alpha)
+    old_tv = _tv_aligned(reference_float_poisson_binomial(probs), 0,
+                         _poisson_pmf_truncated(float(sum(probs))), 0)
+    # the float DP rounds about twice per player and cell, so its TV drifts
+    # by up to a few units of 2^-53 per player (12.7 units seen at n = 50)
+    assert abs(chk.tv - old_tv) <= 4 * (len(probs) + 1) * 2.0 ** -53
+    assert chk.passed == (old_tv <= chk.bound)
