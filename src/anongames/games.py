@@ -2,9 +2,10 @@
 
 An anonymous game with n players and k strategies gives each (player,
 strategy) pair a utility table over the partitions of the other n-1
-players into the k strategies.  Everything here is exact: utilities and
-mixed-strategy probabilities are `fractions.Fraction`, and serialization
-round-trips them bit for bit.
+players into the k strategies.  Everything here is exact: a game stores
+each player's utilities as integer numerators over one common
+denominator, mixed-strategy probabilities are `fractions.Fraction`, and
+serialization round-trips both bit for bit.
 """
 
 from __future__ import annotations
@@ -140,29 +141,44 @@ def partition_rank(partition: Sequence[int], m: int | None = None,
     return rank
 
 
-@dataclass(frozen=True)
+def _ratio(value) -> tuple[int, int]:
+    """as_fraction(value) as a (numerator, denominator) pair in lowest
+    terms; a finite float skips building the Fraction."""
+    if type(value) is float and math.isfinite(value):
+        return value.as_integer_ratio()
+    value = as_fraction(value)
+    return value.numerator, value.denominator
+
+
+@dataclass(frozen=True, init=False)
 class AnonymousGame:
     """n players, k strategies, utilities[player][strategy][partition_rank].
 
-    All utility values lie in [0, 1] and are stored as exact rationals; the
-    table is dense and total (one entry per partition of the other n-1
-    players).  Instances are immutable and safe to share across workers.
+    All utility values lie in [0, 1]; the table is dense and total (one
+    entry per partition of the other n-1 players).  Each player p's table
+    is stored once, as integers: tables[p] = (L_p, numerators), where L_p
+    is the lcm of the denominators of all k of p's rows and
+    utilities[p][s][r] = numerators[s][r] / L_p, so p's expected payoffs
+    for every strategy share one scale and compare as integers.  The
+    `utilities` view rebuilds the reduced `Fraction`s on each access.
+    Instances are immutable, compare and hash by value, and are safe to
+    share across workers.
     """
 
     n: int
     k: int
-    utilities: tuple
+    tables: tuple
 
-    def __post_init__(self):
-        require_int("anonymous game", n=self.n, k=self.k)
-        if self.n < 2 or self.k < 2:
+    def __init__(self, n: int, k: int, utilities):
+        require_int("anonymous game", n=n, k=k)
+        if n < 2 or k < 2:
             raise GameFormatError("anonymous game needs n >= 2 and k >= 2")
-        if len(self.utilities) != self.n:
+        if len(utilities) != n:
             raise GameFormatError("table size mismatch: expected one row per player")
-        size = partition_count(self.n - 1, self.k)
-        coerced = []
-        for p, per_player in enumerate(self.utilities):
-            if len(per_player) != self.k:
+        size = partition_count(n - 1, k)
+        tables = []
+        for p, per_player in enumerate(utilities):
+            if len(per_player) != k:
                 raise GameFormatError(
                     f"table size mismatch: player {p} has {len(per_player)} strategies")
             rows = []
@@ -171,16 +187,27 @@ class AnonymousGame:
                     raise GameFormatError(
                         f"table size mismatch: player {p} strategy {i} has "
                         f"{len(row)} entries, expected {size}")
-                vals = tuple(as_fraction(v) for v in row)
-                if any(v < 0 or v > 1 for v in vals):
+                pairs = [_ratio(v) for v in row]
+                if any(a < 0 or a > b for a, b in pairs):
                     raise GameFormatError("utility out of range [0, 1]")
-                rows.append(vals)
-            coerced.append(tuple(rows))
-        object.__setattr__(self, "utilities", tuple(coerced))
+                rows.append(pairs)
+            lcm = math.lcm(*{b for pairs in rows for _, b in pairs})
+            tables.append((lcm, tuple(tuple(a * (lcm // b) for a, b in pairs)
+                                      for pairs in rows)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "tables", tuple(tables))
+
+    @property
+    def utilities(self) -> tuple:
+        """utilities[p][s][rank] as reduced `Fraction`s."""
+        return tuple(tuple(tuple(Fraction(a, lcm) for a in row) for row in rows)
+                     for lcm, rows in self.tables)
 
     def utility(self, player: int, strategy: int, partition: Sequence[int]) -> Fraction:
         rank = partition_rank(partition, m=self.n - 1, k=self.k)
-        return self.utilities[player][strategy][rank]
+        lcm, rows = self.tables[player]
+        return Fraction(rows[strategy][rank], lcm)
 
 
 @dataclass(frozen=True)
@@ -281,11 +308,7 @@ def random_game(n: int, k: int, seed: int) -> AnonymousGame:
     size = partition_count(n - 1, k)
     check_guard(n * k * size, f"utility table for n={n}, k={k}", LATTICE_CAP)
     rng = np.random.default_rng(seed)
-    table = rng.random((n, k, size))
-    utilities = tuple(
-        tuple(tuple(Fraction(float(v)) for v in row) for row in per_player)
-        for per_player in table)
-    return AnonymousGame(n=n, k=k, utilities=utilities)
+    return AnonymousGame(n=n, k=k, utilities=rng.random((n, k, size)).tolist())
 
 
 def random_profile(n: int, k: int, seed: int, denominator: int = 1000) -> MixedProfile:

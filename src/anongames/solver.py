@@ -30,7 +30,7 @@ from .games import (AnonymousGame, MixedProfile, as_fraction,
                     enumerate_partitions, iter_partitions, partition_count,
                     partition_rank)
 from .guards import check_guard
-from .sumdist import payoff_rows, regret_profile, sum_distribution
+from .sumdist import _payoff_numerators, regret_profile, sum_distribution
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,19 @@ class QuantizedStrategySet:
         return len(self.strategies)
 
 
-def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
+def _strategy_count(k: int, z: int) -> int:
+    """|S|, the size of the 1/(2^k z) grid, checked against the guard
+    before anything is built."""
     if k < 2 or z < 1:
         raise ValueError("need k >= 2 and z >= 1")
-    grid = (2 ** k) * z
-    count = partition_count(grid, k)
+    count = partition_count((2 ** k) * z, k)
     check_guard(count, f"quantized strategy set for k={k}, z={z}")
+    return count
+
+
+def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
+    _strategy_count(k, z)
+    grid = (2 ** k) * z
     strategies = tuple(tuple(Fraction(c, grid) for c in comp)
                        for comp in enumerate_partitions(grid, k))
     return QuantizedStrategySet(k=k, z=z, strategies=strategies)
@@ -77,13 +84,18 @@ def _response_masks(game: AnonymousGame, strat_set: QuantizedStrategySet,
     """B_p for every player p: the bitmask of p's pure strategies within
     delta (non-strict) of p's best pure response when the other n-1 players
     play the quantized strategies `opponents`, an ascending tuple of
-    strategy indices (the split theta - e_sigma as a multiset)."""
+    strategy indices (the split theta - e_sigma as a multiset).
+
+    With payoffs v_s / scale and delta = a / b, the test v_s >= max(v) - delta
+    is the integer cross-multiplication v_s * b >= max(v) * b - a * scale."""
     rows = [strat_set.strategies[tau] for tau in opponents]
-    payoffs = payoff_rows(game, sum_distribution(rows, k=game.k), range(game.n))
+    dist = sum_distribution(rows, k=game.k)
+    a, b = delta.numerator, delta.denominator
     masks = []
-    for row in payoffs:
-        threshold = max(row) - delta
-        masks.append(sum(1 << s for s, v in enumerate(row) if v >= threshold))
+    for p in range(game.n):
+        nums, scale = _payoff_numerators(game, dist, p)
+        cut = max(nums) * b - a * scale
+        masks.append(sum(1 << s for s, v in enumerate(nums) if v * b >= cut))
     return tuple(masks)
 
 
@@ -217,6 +229,9 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    # both guards run before the grid is built: the split count is known
+    # from |S| alone, and the grid can hold up to the cap's 10^7 strategies
+    splits = enumerate_theta(game.n, _strategy_count(game.k, z))
     strat_set = enumerate_quantized_strategies(game.k, z)
     supports = _support_masks(strat_set)
     memo: dict[tuple, tuple] = {}
@@ -228,7 +243,7 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
                                                       epsilon)
         return masks
 
-    for idx, theta in enumerate(enumerate_theta(game.n, len(strat_set))):
+    for idx, theta in enumerate(splits):
         edges = _edge_lists(theta, supports, masks_of, game.n, prune=True)
         if edges is None or not all(edges):
             continue
@@ -281,6 +296,7 @@ def _direct_support_gap(game: AnonymousGame, rows: Sequence) -> Fraction:
     """Exact support gap by direct enumeration over all opponent pure
     tuples; shares no code with the lattice convolution path."""
     n, k = game.n, game.k
+    utilities = game.utilities
     worst = Fraction(0)
     for p in range(n):
         others = [rows[q] for q in range(n) if q != p]
@@ -296,7 +312,7 @@ def _direct_support_gap(game: AnonymousGame, rows: Sequence) -> Fraction:
                 counts[s] += 1
             rank = partition_rank(tuple(counts), m=n - 1, k=k)
             for i in range(k):
-                payoff[i] += prob * game.utilities[p][i][rank]
+                payoff[i] += prob * utilities[p][i][rank]
         best = max(payoff)
         gap = max(best - payoff[i] for i in range(k) if rows[p][i] > 0)
         worst = max(worst, gap)

@@ -8,7 +8,8 @@ as integer numerators over the lcm d_i of its denominators (float inputs
 are promoted to their exact dyadic values first), and the fold multiplies
 and adds those integers over the one denominator d_1 * ... * d_n.  The
 finished law is kept in that form, as integer counts over one denominator
-in lowest terms.  Expected payoffs contract the counts directly; callers
+in lowest terms.  Expected payoffs contract the counts directly with each
+player's integer utility table (`AnonymousGame.tables`); callers
 that want floats (the total-variation experiments) read
 `SumDistribution.floats`, and `SumDistribution.mass` gives the exact
 `Fraction`s.
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GameFormatError
@@ -140,6 +142,17 @@ def poisson_binomial_pmf(probs: Sequence) -> tuple:
     return sum_distribution([(p, 1 - p) for p in ps], k=2).mass
 
 
+def _payoff_numerators(game: AnonymousGame, dist: SumDistribution,
+                       p: int) -> tuple[list[int], int]:
+    """(nums, scale): player p's expected utility of pure strategy s is
+    nums[s] / scale, with scale = dist.den * L_p for every s, so the
+    payoffs compare as integers.  Each numerator is the integer dot
+    product of p's utility numerators with the law's counts."""
+    lcm, rows = game.tables[p]
+    counts = dist.counts
+    return [sum(map(mul, row, counts)) for row in rows], dist.den * lcm
+
+
 def payoff_rows(game: AnonymousGame, dist: SumDistribution,
                 players: Iterable[int]) -> list:
     """rows[j][s]: the exact expected utility E[u^p_s(x)] of pure strategy
@@ -147,21 +160,15 @@ def payoff_rows(game: AnonymousGame, dist: SumDistribution,
     which must live on Pi^k_{n-1}.
 
     The contraction runs on integers: the law's counts over its den meet
-    each utility row as numerators over the row's lcm L, and each payoff
-    is one division by den * L."""
+    p's integer utility table over its one lcm L_p, and each payoff is
+    one reduced division by den * L_p."""
     if (dist.m, dist.k) != (game.n - 1, game.k):
         raise ValueError(f"opponent law on Pi^{dist.k}_{dist.m}, expected "
                          f"Pi^{game.k}_{game.n - 1}")
-    counts, den = dist.counts, dist.den
     rows = []
     for p in players:
-        payoffs = []
-        for row in game.utilities[p]:
-            lcm = math.lcm(*(u.denominator for u in row))
-            num = sum(u.numerator * (lcm // u.denominator) * c
-                      for u, c in zip(row, counts))
-            payoffs.append(Fraction(num, den * lcm))
-        rows.append(tuple(payoffs))
+        nums, scale = _payoff_numerators(game, dist, p)
+        rows.append(tuple(Fraction(v, scale) for v in nums))
     return rows
 
 
@@ -193,7 +200,9 @@ class RegretReport:
 
 
 def regret_profile(game: AnonymousGame, profile: MixedProfile) -> RegretReport:
-    """Exact regrets of every player under `profile` (rational arithmetic)."""
+    """Exact regrets of every player under `profile`.  The payoffs, the
+    best response and both regrets are integers over one scale per
+    player; only the reported values become `Fraction`s."""
     if profile.n != game.n or profile.k != game.k:
         raise GameFormatError("profile dimensions disagree with the game")
     payoffs = []
@@ -201,12 +210,11 @@ def regret_profile(game: AnonymousGame, profile: MixedProfile) -> RegretReport:
     gaps = []
     for p in range(game.n):
         others = [profile.probs[q] for q in range(game.n) if q != p]
-        dist = sum_distribution(others, k=game.k)
-        row_payoffs, = payoff_rows(game, dist, [p])
-        best = max(row_payoffs)
-        mix = profile.probs[p]
-        approx.append(best - sum(w * v for w, v in zip(mix, row_payoffs)))
-        gaps.append(max(best - row_payoffs[i] for i in range(game.k) if mix[i] > 0))
-        payoffs.append(row_payoffs)
+        nums, scale = _payoff_numerators(game, sum_distribution(others, k=game.k), p)
+        best = max(nums)
+        d, weights = _check_vector(profile.probs[p])
+        approx.append(Fraction(best * d - sum(map(mul, weights, nums)), scale * d))
+        gaps.append(Fraction(best - min(v for v, w in zip(nums, weights) if w), scale))
+        payoffs.append(tuple(Fraction(v, scale) for v in nums))
     return RegretReport(payoffs=tuple(payoffs), approx_regret=tuple(approx),
                         support_gap=tuple(gaps))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -219,6 +220,23 @@ def test_guard_checked_before_any_file_is_written(workdir):
         "discretize", "--profile", prof_path, "--z", 10, "--out", workdir / "d.json",
         "--sumdist-out", workdir / "d.csv"))
     assert sorted(p.name for p in workdir.iterdir()) == ["p.json"]
+
+
+def test_split_guard_runs_before_the_strategy_grid_is_built(workdir, capsys,
+                                                             monkeypatch):
+    # 400001 strategies fit the cap but their C(400002, 2) splits do not;
+    # building the grid first took seconds before the same message
+    monkeypatch.delenv("ANON_GUARD_CELLS", raising=False)
+    game_path = write_anti_coordination(workdir)
+    t0 = time.perf_counter()
+    code = cli.main(["solve", "--game", str(game_path), "--epsilon", "1/100",
+                     "--z", "100000"])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: partitions of 2 players into 400001 strategies has size "
+        "80000600001, exceeding the cap of 10000000 (override with "
+        "ANON_GUARD_CELLS)\n")
 
 
 # (argv with file placeholders, files written first): every malformed input

@@ -1,5 +1,8 @@
+import gc
+import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +63,50 @@ def test_game_roundtrip_preserves_exact_rationals():
     game = random_game(2, 3, seed=5)
     parsed = parse_game(serialize_game(game))
     assert parsed.utilities == game.utilities
+
+
+# --- the storage contract: integer tables, a Fraction view on access --------
+
+def reference_serialize_game(game):
+    """The canonical form written straight from the `utilities` view."""
+    table = [[[f"{v.numerator}/{v.denominator}" for v in row] for row in per]
+             for per in game.utilities]
+    return (json.dumps({"k": game.k, "n": game.n, "utilities": table},
+                       separators=(",", ":"), sort_keys=True) + "\n").encode()
+
+
+MIXED_GAME = (b'{"k":2,"n":2,"utilities":[[[0.1,"1/3"],[1,"2/7"]],'
+              b'[["999982/999983",0],[0.5,"1e-3"]]]}')
+
+
+@pytest.mark.parametrize("game", [random_game(3, 3, seed=4), parse_game(MIXED_GAME)])
+def test_storage_roundtrip_view_and_value_equality(game):
+    parsed = parse_game(serialize_game(game))
+    assert parsed == game and hash(parsed) == hash(game)
+    assert serialize_game(game) == reference_serialize_game(game)
+    for p in range(game.n):
+        for s in range(game.k):
+            for rank, x in enumerate(enumerate_partitions(game.n - 1, game.k)):
+                assert game.utility(p, s, x) == game.utilities[p][s][rank]
+    for name in ("n", "tables", "utilities"):
+        with pytest.raises(AttributeError):
+            setattr(game, name, None)
+
+
+def test_game_retains_no_fraction_table():
+    # about 45 B an entry as integers over one lcm per player; a table of
+    # Fractions beside them retains about 125 B an entry
+    random_game(12, 3, seed=0)          # first-call caches are not the game's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        game = random_game(12, 3, seed=1)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * game.n * game.k * partition_count(game.n - 1, game.k)
 
 
 def test_parse_accepts_floats_and_strings():

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anongames import (GuardExceeded, MixedProfile, RegretReport,
-                       partition_count, payoff_rows, random_game,
-                       regret_profile, sum_distribution)
+                       partition_count, random_game, regret_profile,
+                       sum_distribution)
 from anongames.solver import (SolveResult, best_response_edges,
                               brute_force_oracle, enumerate_quantized_strategies,
                               enumerate_theta, max_flow_assign, ptas_solve,
                               solve_escalating)
-from tests.test_sumdist import anti_coordination, constant_game
+from tests.test_sumdist import (_game, anti_coordination, constant_game,
+                                reference_payoff_rows)
 
 
 def test_quantized_strategies_k2_z1():
@@ -178,8 +179,8 @@ def reference_best_response_edges(game, strat_set, theta, delta):
         for tau_idx, tau_count in enumerate(theta):
             copies = tau_count - (1 if tau_idx == sigma_idx else 0)
             opponents.extend([strat_set.strategies[tau_idx]] * copies)
-        payoffs = payoff_rows(game, sum_distribution(opponents, k=game.k),
-                              range(game.n))
+        payoffs = reference_payoff_rows(game, sum_distribution(opponents, k=game.k),
+                                        range(game.n))
         support = [s for s in range(game.k) if sigma[s] > 0]
         for p in range(game.n):
             best = max(payoffs[p])
@@ -227,6 +228,31 @@ def test_edges_match_reference_construction(case):
     (n, k, z), seed, theta, delta = case
     game = random_game(n, k, seed)
     strat_set = enumerate_quantized_strategies(k, z)
+    assert (best_response_edges(game, strat_set, theta, delta)
+            == reference_best_response_edges(game, strat_set, theta, delta))
+
+
+@st.composite
+def _boundary_case(draw):
+    """A game over few utility values and a delta equal to some player's
+    exact payoff gap against one of theta's opponent splits, so that
+    payoffs land on max - delta itself."""
+    n, k = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    game = draw(_game(n, k, values=(F(0), F(1, 4), F(1, 2), F(1))))
+    strat_set = enumerate_quantized_strategies(k, 1)
+    theta = draw(_random_theta(n, len(strat_set)))
+    sigma = draw(st.sampled_from([s for s, c in enumerate(theta) if c]))
+    opponents = [strat_set.strategies[tau] for tau, c in enumerate(theta)
+                 for _ in range(c - (tau == sigma))]
+    rows = reference_payoff_rows(game, sum_distribution(opponents, k=k), range(n))
+    delta = draw(st.sampled_from(sorted({max(row) - v for row in rows for v in row})))
+    return game, strat_set, theta, delta
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_boundary_case())
+def test_edges_match_reference_on_the_delta_boundary(case):
+    game, strat_set, theta, delta = case
     assert (best_response_edges(game, strat_set, theta, delta)
             == reference_best_response_edges(game, strat_set, theta, delta))
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anongames import (AnonymousGame, MixedProfile, payoff_rows,
-                       random_profile, regret_profile, sum_distribution,
-                       tv_distance)
+from anongames import (AnonymousGame, MixedProfile, RegretReport,
+                       payoff_rows, random_profile, regret_profile,
+                       sum_distribution, tv_distance)
 from anongames.games import as_fraction, enumerate_partitions, partition_count
 from anongames.solver import _direct_support_gap
 from anongames.tdp import floor_root_power
@@ -227,8 +227,9 @@ def reference_sum_distribution(vectors, k):
 
 
 def reference_payoff_rows(game, dist, players):
-    return [tuple(sum(u * m for u, m in zip(row, dist.mass))
-                  for row in game.utilities[p]) for p in players]
+    utilities, mass = game.utilities, dist.mass
+    return [tuple(sum(u * m for u, m in zip(row, mass)) for row in utilities[p])
+            for p in players]
 
 
 def _composition(total, k):
@@ -249,12 +250,16 @@ def _dyadic_float_row(k):
 
 
 _UTILITIES = (F(0), F(1), F(1, 2), F(1, 3), F(2, 7), F(5, 16), F(999, 1000), F(0.1))
+# a float's 2^53 denominator next to large primes: a player's lcm L_p and
+# the payoff scale den * L_p pass 2^64
+_WIDE_UTILITIES = (F(2 / 3), F(0.1), F(500000, 999983), F(2 ** 61 - 2, 2 ** 61 - 1),
+                   F(1, 2 ** 61 - 1), F(1))
 
 
 @st.composite
-def _game(draw, n, k):
+def _game(draw, n, k, values=_UTILITIES):
     size = partition_count(n - 1, k)
-    entry = st.sampled_from(_UTILITIES)
+    entry = st.sampled_from(values)
     return AnonymousGame(n=n, k=k, utilities=tuple(
         tuple(tuple(draw(st.lists(entry, min_size=size, max_size=size)))
               for _ in range(k)) for _ in range(n)))
@@ -269,16 +274,34 @@ def test_integer_fold_matches_fraction_fold(case):
     assert sum_distribution(rows, k=k).mass == reference_sum_distribution(rows, k)
 
 
+def reference_regret_profile(game, rows):
+    """Payoffs and both regrets by Fraction arithmetic on the Fraction fold."""
+    payoffs, approx, gaps = [], [], []
+    for p in range(game.n):
+        others = [rows[q] for q in range(game.n) if q != p]
+        mass = reference_sum_distribution(others, game.k)
+        row = tuple(sum(u * m for u, m in zip(us, mass)) for us in game.utilities[p])
+        best = max(row)
+        approx.append(best - sum(w * v for w, v in zip(rows[p], row)))
+        gaps.append(max(best - v for w, v in zip(rows[p], row) if w > 0))
+        payoffs.append(row)
+    return RegretReport(payoffs=tuple(payoffs), approx_regret=tuple(approx),
+                        support_gap=tuple(gaps))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.tuples(st.integers(2, 4), st.integers(2, 3)).flatmap(
-    lambda nk: st.tuples(_game(*nk), st.lists(
-        _grid_row(nk[1], denominators=(16,)), min_size=nk[0], max_size=nk[0]))))
+    lambda nk: st.tuples(_game(*nk) | _game(*nk, values=_WIDE_UTILITIES), st.lists(
+        _grid_row(nk[1], denominators=(16,))
+        | _grid_row(nk[1], denominators=(999983, 2 ** 61 - 1)),
+        min_size=nk[0], max_size=nk[0]))))
 def test_integer_payoffs_match_fraction_contraction_and_oracle(case):
     game, rows = case
     dist = sum_distribution(rows[1:], k=game.k)
     players = range(game.n)
     assert payoff_rows(game, dist, players) == reference_payoff_rows(game, dist, players)
     report = regret_profile(game, MixedProfile(probs=tuple(rows)))
+    assert report == reference_regret_profile(game, rows)
     assert report.max_support_gap == _direct_support_gap(game, rows)
 
 
