@@ -141,15 +141,6 @@ def partition_rank(partition: Sequence[int], m: int | None = None,
     return rank
 
 
-def _ratio(value) -> tuple[int, int]:
-    """as_fraction(value) as a (numerator, denominator) pair in lowest
-    terms; a finite float skips building the Fraction."""
-    if type(value) is float and math.isfinite(value):
-        return value.as_integer_ratio()
-    value = as_fraction(value)
-    return value.numerator, value.denominator
-
-
 @dataclass(frozen=True, init=False)
 class AnonymousGame:
     """n players, k strategies, utilities[player][strategy][partition_rank].
@@ -160,9 +151,12 @@ class AnonymousGame:
     is the lcm of the denominators of all k of p's rows and
     utilities[p][s][r] = numerators[s][r] / L_p, so p's expected payoffs
     for every strategy share one scale and compare as integers.  The
-    `utilities` view rebuilds the reduced `Fraction`s on each access.
-    Instances are immutable, compare and hash by value, and are safe to
-    share across workers.
+    `utilities` view rebuilds all n*k*|Pi^k_{n-1}| reduced `Fraction`s on
+    each access, so bind it once outside a loop; `utility()` reads one
+    entry.  Coprime denominators make L_p, and so every stored numerator,
+    grow with the table; its size in 64-bit words is checked against the
+    guard before the numerators are scaled.  Instances are immutable,
+    compare and hash by value, and are safe to share across workers.
     """
 
     n: int
@@ -176,7 +170,8 @@ class AnonymousGame:
         if len(utilities) != n:
             raise GameFormatError("table size mismatch: expected one row per player")
         size = partition_count(n - 1, k)
-        tables = []
+        what = f"integer utility table for n={n}, k={k} (64-bit words)"
+        tables, stored = [], 0
         for p, per_player in enumerate(utilities):
             if len(per_player) != k:
                 raise GameFormatError(
@@ -187,11 +182,18 @@ class AnonymousGame:
                     raise GameFormatError(
                         f"table size mismatch: player {p} strategy {i} has "
                         f"{len(row)} entries, expected {size}")
-                pairs = [_ratio(v) for v in row]
+                pairs = [(v.numerator, v.denominator) for v in map(as_fraction, row)]
                 if any(a < 0 or a > b for a, b in pairs):
                     raise GameFormatError("utility out of range [0, 1]")
                 rows.append(pairs)
-            lcm = math.lcm(*{b for pairs in rows for _, b in pairs})
+            # the lcm grows one denominator at a time, so coprime ones hit
+            # the guard before the lcm or the scaled table gets large
+            lcm = 1
+            for b in {b for pairs in rows for _, b in pairs}:
+                lcm = math.lcm(lcm, b)
+                words = k * size * -(-lcm.bit_length() // 64)
+                check_guard(stored + words, what, LATTICE_CAP)
+            stored += words
             tables.append((lcm, tuple(tuple(a * (lcm // b) for a, b in pairs)
                                       for pairs in rows)))
         object.__setattr__(self, "n", n)

@@ -55,12 +55,18 @@ def _strategy_count(k: int, z: int) -> int:
     return count
 
 
-def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
-    _strategy_count(k, z)
+def _quantized_grid(k: int, z: int) -> QuantizedStrategySet:
+    """The 1/(2^k z) grid, built without a guard: callers check its size
+    with _strategy_count first."""
     grid = (2 ** k) * z
     strategies = tuple(tuple(Fraction(c, grid) for c in comp)
                        for comp in enumerate_partitions(grid, k))
     return QuantizedStrategySet(k=k, z=z, strategies=strategies)
+
+
+def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
+    _strategy_count(k, z)
+    return _quantized_grid(k, z)
 
 
 def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
@@ -229,10 +235,10 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
     epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    # both guards run before the grid is built: the split count is known
-    # from |S| alone, and the grid can hold up to the cap's 10^7 strategies
+    # both guards run once, before the grid is built: the split count is
+    # known from |S| alone, and the grid can hold up to 10^7 strategies
     splits = enumerate_theta(game.n, _strategy_count(game.k, z))
-    strat_set = enumerate_quantized_strategies(game.k, z)
+    strat_set = _quantized_grid(game.k, z)
     supports = _support_masks(strat_set)
     memo: dict[tuple, tuple] = {}
 

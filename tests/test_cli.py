@@ -180,14 +180,14 @@ def test_solve_escalate_with_budget(workdir):
     assert b"certified at z=1" in out
 
 
-def run_cli_with_cap_two(*args):
-    """The CLI with every guard capped at 2 cells.  A hermetic env keeps any
-    ambient ANON_GUARD_CELLS out; PYTHONPATH points the child at the same
-    anongames this process imported (src/ or site-packages)."""
+def run_cli_with_cap(cap, *args):
+    """The CLI with every guard capped at `cap` cells.  A hermetic env keeps
+    any ambient ANON_GUARD_CELLS out; PYTHONPATH points the child at the
+    same anongames this process imported (src/ or site-packages)."""
     package_root = str(Path(anongames.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "anongames", *map(str, args)],
-        capture_output=True, env={"ANON_GUARD_CELLS": "2", "PATH": "/usr/bin:/bin",
+        capture_output=True, env={"ANON_GUARD_CELLS": str(cap), "PATH": "/usr/bin:/bin",
                                   "PYTHONPATH": package_root})
 
 
@@ -204,8 +204,8 @@ def assert_guard_error(proc):
 
 def test_guard_env_var_reported(workdir):
     game_path = write_anti_coordination(workdir)
-    assert_guard_error(run_cli_with_cap_two(
-        "solve", "--game", game_path, "--epsilon", "1/10", "--z", "1"))
+    assert_guard_error(run_cli_with_cap(
+        2, "solve", "--game", game_path, "--epsilon", "1/10", "--z", "1"))
 
 
 def test_guard_checked_before_any_file_is_written(workdir):
@@ -214,12 +214,31 @@ def test_guard_checked_before_any_file_is_written(workdir):
     prof_path = workdir / "p.json"
     prof_path.write_bytes(json.dumps(
         {"k": 2, "n": 2, "probs": [["1/3", "2/3"], ["1/2", "1/2"]]}).encode())
-    assert_guard_error(run_cli_with_cap_two(
-        "gen", "--n", 2, "--k", 2, "--seed", 0, "--out", workdir / "g.json"))
-    assert_guard_error(run_cli_with_cap_two(
-        "discretize", "--profile", prof_path, "--z", 10, "--out", workdir / "d.json",
+    assert_guard_error(run_cli_with_cap(
+        2, "gen", "--n", 2, "--k", 2, "--seed", 0, "--out", workdir / "g.json"))
+    assert_guard_error(run_cli_with_cap(
+        2, "discretize", "--profile", prof_path, "--z", 10, "--out", workdir / "d.json",
         "--sumdist-out", workdir / "d.csv"))
     assert sorted(p.name for p in workdir.iterdir()) == ["p.json"]
+
+
+def test_coprime_utility_denominators_are_guarded_on_parse(workdir):
+    # n=3, k=2: 6 entries a player.  Over "1/2" the integer table is one
+    # word an entry, 18 in all; over 6 distinct 20-bit primes a player,
+    # L_p has 120 bits, so 2 words an entry and 36 in all, over a cap of 30
+    primes = [999983, 999979, 999961, 999959, 999953, 999931]
+    prof_path = workdir / "p.json"
+    prof_path.write_bytes(json.dumps(
+        {"k": 2, "n": 3, "probs": [["1/2", "1/2"]] * 3}).encode())
+    for name, den in (("half.json", [2] * 6), ("coprime.json", primes)):
+        (workdir / name).write_bytes(json.dumps({"k": 2, "n": 3, "utilities": [
+            [[f"1/{d}" for d in den[:3]], [f"1/{d}" for d in den[3:]]]] * 3}).encode())
+    verify = ("verify", "--profile", prof_path, "--epsilon", "1/10", "--game")
+    assert run_cli_with_cap(30, *verify, workdir / "half.json").returncode == 0
+    proc = run_cli_with_cap(30, *verify, workdir / "coprime.json")
+    assert_guard_error(proc)
+    assert proc.stderr.startswith(
+        b"error: integer utility table for n=3, k=2 (64-bit words) has size 36,")
 
 
 def test_split_guard_runs_before_the_strategy_grid_is_built(workdir, capsys,

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from anongames import (GameFormatError, enumerate_partitions, parse_game,
+from anongames import (AnonymousGame, GameFormatError, GuardExceeded,
+                       enumerate_partitions, parse_game,
                        parse_profile, partition_count, partition_rank,
                        random_game, random_profile, serialize_game,
                        serialize_profile)
@@ -84,10 +85,11 @@ def test_storage_roundtrip_view_and_value_equality(game):
     parsed = parse_game(serialize_game(game))
     assert parsed == game and hash(parsed) == hash(game)
     assert serialize_game(game) == reference_serialize_game(game)
+    utilities = game.utilities          # the view is rebuilt on each access
     for p in range(game.n):
         for s in range(game.k):
             for rank, x in enumerate(enumerate_partitions(game.n - 1, game.k)):
-                assert game.utility(p, s, x) == game.utilities[p][s][rank]
+                assert game.utility(p, s, x) == utilities[p][s][rank]
     for name in ("n", "tables", "utilities"):
         with pytest.raises(AttributeError):
             setattr(game, name, None)
@@ -107,6 +109,23 @@ def test_game_retains_no_fraction_table():
     finally:
         tracemalloc.stop()
     assert retained < 64 * game.n * game.k * partition_count(game.n - 1, game.k)
+
+
+def test_coprime_denominators_hit_the_table_guard(monkeypatch):
+    # n=40, k=3 over 2460 distinct denominators near 10^6 per player would
+    # scale every numerator to an lcm of tens of thousands of bits, hundreds
+    # of MB in all; the guard stops it within player 0's table
+    monkeypatch.delenv("ANON_GUARD_CELLS", raising=False)
+    size = partition_count(39, 3)
+    row = lambda s: [F(1, 10**6 + s * size + r) for r in range(size)]
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match=r"^integer utility table for "
+                       r"n=40, k=3 \(64-bit words\) has size \d+, exceeding the "
+                       r"cap of 1000000 "):
+        AnonymousGame(n=40, k=3, utilities=[[row(s) for s in range(3)]] * 40)
+    assert time.perf_counter() - t0 < 2
+    # dyadic floats keep L_p within one word: one word an entry fits
+    assert random_game(40, 3, seed=0).n == 40
 
 
 def test_parse_accepts_floats_and_strings():
