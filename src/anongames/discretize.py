@@ -45,13 +45,20 @@ class DiscretizedProfile:
         return MixedProfile(probs=self.probs)
 
 
+def _check_z(z, least: int) -> None:
+    """The grid parameter must be an int (not a bool) of at least `least`."""
+    if not isinstance(z, int) or isinstance(z, bool):
+        raise ValueError(f"z must be an int, got {z!r}")
+    if z < least:
+        raise ValueError(f"z must be >= {least}")
+
+
 def largest_remainder_round(values: Sequence, z: int) -> list[Fraction]:
     """Round each value to a multiple of 1/z, preserving the group sum to
     within 1/z: floors first, then distribute round(sum of fractional
     parts) single increments to the largest fractional parts (ties by
     index; the half-way group sum rounds up)."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
+    _check_z(z, 1)
     vals = [as_fraction(v) for v in values]
     if any(v < 0 or v > 1 for v in vals):
         raise ValueError("values must lie in [0, 1]")
@@ -103,8 +110,7 @@ def discretize_profile(profile: MixedProfile, z: int,
     before tree construction, so supports of size two with an explicit
     zero are handled the same way.  Deterministic in all inputs.
     """
-    if z < 2:
-        raise ValueError("z must be >= 2")
+    _check_z(z, 2)
     alpha = as_fraction(alpha)
     n, k = profile.n, profile.k
 

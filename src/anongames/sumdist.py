@@ -13,6 +13,15 @@ player's integer utility table (`AnonymousGame.tables`); callers
 that want floats (the total-variation experiments) read
 `SumDistribution.floats`, and `SumDistribution.mass` gives the exact
 `Fraction`s.
+
+A leave-one-out law, the law of every row but one, comes from the full
+law by exact division (`leave_one_out`): the full counts are the product
+of the quotient's counts with the dropped row's numerators, so
+back-substitution on the integer counts recovers the quotient, which is
+the fold of the other rows, with the same counts over the same
+denominator.  Every division and every cell the back-substitution does
+not read are checked, so a row that is not a factor raises ValueError
+instead of yielding a law.
 """
 
 from __future__ import annotations
@@ -123,6 +132,94 @@ def sum_distribution(vectors: Sequence[Sequence],
     # product of the rows' linear forms, so by Gauss's lemma they are too.
     assert sum(counts) == den
     return SumDistribution(m=len(vectors), k=k, counts=tuple(counts), den=den)
+
+
+@lru_cache(maxsize=None)
+def _division_plan(m: int, k: int, l0: int) -> tuple:
+    """Back-substitution schedule for dividing a law on Pi^k_m by one row.
+
+    One entry per level s = m, ..., 0 of the cells y of Pi^k_m with
+    y[l0] == s: (ys, xs, terms), where ys are the ranks of those cells,
+    xs the ranks in Pi^k_{m-1} of y - e_l0 (None at s = 0, where no
+    quotient cell is solved for), and terms holds, for each l != l0, the
+    pair (positions within the level with y[l] > 0, ranks of y - e_l).
+    Every y - e_l has l0-coordinate s, so it was solved one level up.
+    """
+    lower = {part: r for r, part in enumerate(enumerate_partitions(m - 1, k))}
+    levels = [[] for _ in range(m + 1)]
+    for r, y in enumerate(enumerate_partitions(m, k)):
+        levels[y[l0]].append((r, y))
+
+    def minus(y, ell):
+        return lower[y[:ell] + (y[ell] - 1,) + y[ell + 1:]]
+
+    plan = []
+    for s in range(m, -1, -1):
+        cells = levels[s]
+        terms = []
+        for ell in range(k):
+            if ell != l0:
+                hit = [(i, minus(y, ell)) for i, (_, y) in enumerate(cells) if y[ell]]
+                terms.append((ell, tuple(i for i, _ in hit), tuple(g for _, g in hit)))
+        plan.append((tuple(r for r, _ in cells),
+                     tuple(minus(y, l0) for _, y in cells) if s else None,
+                     tuple(terms)))
+    return tuple(plan)
+
+
+def leave_one_out(full: SumDistribution, row: Sequence) -> SumDistribution:
+    """The law of the other rows, given the law `full` of all of them and
+    one of its rows: the exact quotient G of full = G * row.
+
+    With the row as integer numerators a over d, the counts satisfy
+    F[y] = sum_l a_l G[y - e_l].  Fixing l0 with a_l0 > 0 and visiting
+    the cells of F by descending y[l0] solves each G[y - e_l0] from cells
+    already solved, with one exact integer division by a_l0.  The result
+    is the fold of the other rows, with the same counts over the same
+    denominator den / d (in lowest terms by the Gauss's-lemma argument of
+    `sum_distribution`), at the cost of about one row's fold.
+
+    The division proves itself: a den that d does not divide, a non-zero
+    remainder, a cell with y[l0] == 0 (never read by the solve) that
+    G * row does not reproduce, or a negative quotient count (an exact
+    factor of a hand-built law need not be a law) raises ValueError, so
+    a row that is not a factor never yields a law.
+    """
+    if len(row) != full.k:
+        raise ValueError(f"row has length {len(row)}, expected k={full.k}")
+    if full.m < 1:
+        raise ValueError("no row to remove from the law of an empty sum")
+    d, ints = _check_vector(row)
+    if full.den % d:
+        raise ValueError("row is not a factor of the law: its denominator "
+                         "does not divide the law's")
+    a0 = max(ints)
+    plan = _division_plan(full.m, full.k, ints.index(a0))
+    counts = full.counts
+    quotient = [0] * partition_count(full.m - 1, full.k)
+    for ys, xs, terms in plan:
+        acc = [counts[r] for r in ys]
+        for ell, pos, src in terms:
+            a = ints[ell]
+            if a:
+                for i, g in zip(pos, src):
+                    acc[i] -= a * quotient[g]
+        if xs is None:
+            if any(acc):
+                raise ValueError("row is not a factor of the law: the quotient "
+                                 "misses an unread cell")
+            break
+        for g, v in zip(xs, acc):
+            q, rem = divmod(v, a0)
+            if rem:
+                raise ValueError("row is not a factor of the law: "
+                                 "a division leaves a remainder")
+            quotient[g] = q
+    if min(quotient) < 0:
+        raise ValueError("row is not a factor of the law: "
+                         "the quotient has a negative count")
+    return SumDistribution(m=full.m - 1, k=full.k, counts=tuple(quotient),
+                           den=full.den // d)
 
 
 def tv_distance(p: SumDistribution, q: SumDistribution) -> Fraction:

@@ -5,6 +5,7 @@ import pytest
 from anongames import (MixedProfile, discretize_profile,
                        largest_remainder_round, random_profile, round_cell)
 from anongames.tdp import build_tdp_tree
+from anongames.tvlab import discretization_tv
 
 
 def test_largest_remainder_spec_trace():
@@ -33,6 +34,21 @@ def test_largest_remainder_properties_sweep():
             assert abs(sum(out) - sum(vals)) <= F(1, z)
             assert all(0 <= v <= 1 for v in out)
             assert all(b == 0 for a, b in zip(vals, out) if a == 0)
+
+
+@pytest.mark.parametrize("z", [2.5, 10.0, F(10), True, "10"])
+def test_largest_remainder_rejects_a_non_int_z(z):
+    with pytest.raises(ValueError, match="z must be an int"):
+        largest_remainder_round([F(1, 3)], z)
+
+
+@pytest.mark.parametrize("z", [2.5, 10.0, F(10), True, "10"])
+def test_discretize_rejects_a_non_int_z(z):
+    prof = random_profile(3, 3, seed=1)
+    with pytest.raises(ValueError, match="z must be an int"):
+        discretize_profile(prof, z)
+    with pytest.raises(ValueError, match="z must be an int"):
+        discretization_tv(prof, z)
 
 
 def test_round_cell_single_member():

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anongames import (AnonymousGame, MixedProfile, RegretReport,
-                       payoff_rows, random_profile, regret_profile,
-                       sum_distribution, tv_distance)
+                       SumDistribution, leave_one_out, payoff_rows,
+                       random_profile, regret_profile, sum_distribution,
+                       tv_distance)
 from anongames.games import as_fraction, enumerate_partitions, partition_count
 from anongames.solver import _direct_support_gap
 from anongames.tdp import floor_root_power
@@ -324,6 +325,71 @@ def test_law_is_reduced_counts_with_exact_floats(case):
     shuffled = list(rows)
     rng.shuffle(shuffled)
     assert sum_distribution(shuffled, k=k) == d
+
+
+# --- leave-one-out laws by exact division of the full law -------------------
+
+_WIDE_GRIDS = (1, 2, 7, 16, 160, 1000, 999983, 2 ** 61 - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(1, 9)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(
+        _grid_row(kn[0], denominators=_WIDE_GRIDS) | _dyadic_float_row(kn[0]),
+        min_size=kn[1], max_size=kn[1]), st.integers(0, kn[1] - 1))))
+def test_leave_one_out_is_the_fold_of_the_other_rows(case):
+    k, rows, j = case
+    others = rows[:j] + rows[j + 1:]
+    loo = leave_one_out(sum_distribution(rows, k=k), rows[j])
+    assert loo == sum_distribution(others, k=k)      # same counts, same den
+    assert loo.mass == reference_sum_distribution(others, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(1, 6)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(
+        _grid_row(kn[0], denominators=(2, 4, 7, 16)), min_size=kn[1],
+        max_size=kn[1]), _grid_row(kn[0], denominators=(2, 4, 7, 16)))))
+def test_leave_one_out_rejects_every_row_that_is_not_a_factor(case):
+    # the rows are linear forms, which are irreducible, so a row divides
+    # the law exactly when it is one of them
+    k, rows, row = case
+    full = sum_distribution(rows, k=k)
+    if row in rows:
+        j = rows.index(row)
+        assert leave_one_out(full, row) == sum_distribution(rows[:j] + rows[j + 1:], k=k)
+    else:
+        with pytest.raises(ValueError, match="not a factor"):
+            leave_one_out(full, row)
+
+
+def test_leave_one_out_rejections_name_the_failed_check():
+    quarter = sum_distribution([(F(1, 4), F(3, 4))] * 2, k=2)   # (x + 3)^2 / 16
+    # 3 does not divide den = 16
+    with pytest.raises(ValueError, match="denominator"):
+        leave_one_out(sum_distribution([(F(1, 2), F(1, 2))] * 2), (F(1, 3), F(2, 3)))
+    # (3x + 1) / 4: the first division, 1 / 3, leaves a remainder
+    with pytest.raises(ValueError, match="remainder"):
+        leave_one_out(quarter, (F(3, 4), F(1, 4)))
+    # (x + 1) / 2: every division is exact and the quotient x + 5 is
+    # non-negative, but (x + 5)(x + 1) misses the unread cell x^0 by 4
+    with pytest.raises(ValueError, match="unread cell"):
+        leave_one_out(quarter, (F(1, 2), F(1, 2)))
+    # 1 + x^3 = (1 + x)(1 - x + x^2): an exact quotient that is not a law
+    with pytest.raises(ValueError, match="negative"):
+        leave_one_out(SumDistribution(m=3, k=2, counts=(1, 0, 0, 1), den=2),
+                      (F(1, 2), F(1, 2)))
+
+
+def test_leave_one_out_rejects_malformed_calls():
+    full = sum_distribution([(F(1, 2), F(1, 2))] * 2)
+    with pytest.raises(ValueError):
+        leave_one_out(full, (F(1, 2), F(1, 4), F(1, 4)))
+    with pytest.raises(ValueError):
+        leave_one_out(full, (F(1, 2), F(1, 3)))
+    with pytest.raises(ValueError):
+        leave_one_out(sum_distribution([], k=2), (F(1, 2), F(1, 2)))
+    assert leave_one_out(sum_distribution([(1,)] * 3), (1,)) == sum_distribution([(1,)] * 2)
 
 
 def reference_float_poisson_binomial(probs):

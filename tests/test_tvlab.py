@@ -1,11 +1,15 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anongames import (MixedProfile, discretize_profile, random_profile,
-                       sum_distribution)
+from anongames import (DEFAULT_ALPHA, MixedProfile, discretize_profile,
+                       random_profile, sum_distribution)
+from anongames import cli
 from anongames.tvlab import (CSV_HEADER, PMF_TAIL, _poisson_pmf_truncated,
                              discretization_tv, mix_trial_seed,
                              n_independence_experiment, poisson_binomial_pmf,
@@ -129,6 +133,7 @@ def test_discretization_tv_zero_at_fixed_points():
                                (F(0), F(0), F(1))))
     tv, loo = discretization_tv(prof, 10)
     assert tv == 0 and loo == 0
+    assert (tv, loo) == reference_discretization_tv(prof, 10)
 
 
 def test_discretization_tv_single_vector_bound():
@@ -164,6 +169,55 @@ def test_discretization_tv_matches_bruteforce_convolution():
     expected = 0.5 * sum(abs(a.get(t, 0.0) - b.get(t, 0.0)) for t in keys)
     tv, _ = discretization_tv(prof, z)
     assert tv == pytest.approx(expected, abs=1e-12)
+
+
+def reference_discretization_tv(profile, z, alpha=DEFAULT_ALPHA):
+    """The refold loop discretization_tv ran before it divided: every
+    leave-one-out law folded from scratch, on both sides."""
+    disc = discretize_profile(profile, z, alpha)
+    n, k = profile.n, profile.k
+
+    def tv_of(rows_a, rows_b):
+        pa = sum_distribution(rows_a, k=k).floats()
+        pb = sum_distribution(rows_b, k=k).floats()
+        return sum(abs(a - b) for a, b in zip(pa, pb)) / 2
+
+    tv = tv_of(profile.probs, disc.probs)
+    loo = 0.0
+    for j in range(n):
+        rows_a = [profile.probs[i] for i in range(n) if i != j]
+        rows_b = [disc.probs[i] for i in range(n) if i != j]
+        loo = max(loo, tv_of(rows_a, rows_b))
+    return tv, loo
+
+
+@st.composite
+def _tv_case(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 16))
+    denominator = draw(st.sampled_from((7, 1000)))
+    probs = list(random_profile(n, k, draw(st.integers(0, 2 ** 32)),
+                                denominator=denominator).probs)
+    for i in draw(st.sets(st.integers(0, n - 1))):   # single-strategy rows
+        s = draw(st.integers(0, k - 1))
+        probs[i] = tuple(F(int(s == ell)) for ell in range(k))
+    return MixedProfile(probs=tuple(probs)), draw(st.sampled_from((2, 5, 20)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_tv_case())
+def test_discretization_tv_is_bit_identical_to_the_refold(case):
+    profile, z = case
+    assert discretization_tv(profile, z) == reference_discretization_tv(profile, z)
+
+
+def test_tv_experiment_csv_is_pinned(tmp_path):
+    # the digest of the CSV the refold implementation wrote for these flags
+    out = tmp_path / "tv.csv"
+    assert cli.main(["tv-experiment", "--k", "3", "--z", "5,20", "--n", "2,4,8,16",
+                     "--trials", "2", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "09fb44dc8c87630e520acb1a0500ebd9d59388c95ec3c00d85ddd7c1334a4655")
 
 
 def test_mix_trial_seed_ignores_z_only():
