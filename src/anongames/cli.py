@@ -266,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GameFormatError, GuardExceeded, ValueError) as exc:
+    except (SystemExit2, GameFormatError, GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

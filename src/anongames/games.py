@@ -17,9 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GameFormatError
 from .guards import LATTICE_CAP, check_guard
@@ -246,20 +244,36 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_game(data: bytes | str) -> AnonymousGame:
-    """Parse the JSON game format; validates every AnonymousGame invariant."""
+def _load_json(data: bytes | str, what: str, keys: tuple[str, ...],
+               build: Callable[[dict], object]):
+    """The one reader of the package's JSON file formats: decode `data`,
+    require an object with `keys`, and return build(obj).  Undecodable
+    JSON, missing keys, and a TypeError or ValueError from the build
+    become GameFormatError("malformed <what> file: ..."); a GameFormatError
+    from the build passes through unchanged."""
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
-        raise GameFormatError(f"malformed game file: {exc}") from exc
-    if not isinstance(obj, dict) or not {"n", "k", "utilities"} <= set(obj):
-        raise GameFormatError("malformed game file: need keys n, k, utilities")
+        raise GameFormatError(f"malformed {what} file: {exc}") from exc
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise GameFormatError(f"malformed {what} file: need keys {', '.join(keys)}")
     try:
-        return AnonymousGame(n=obj["n"], k=obj["k"], utilities=obj["utilities"])
+        return build(obj)
+    except GameFormatError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, GameFormatError):
-            raise
-        raise GameFormatError(f"malformed game file: {exc}") from exc
+        raise GameFormatError(f"malformed {what} file: {exc}") from exc
+
+
+def _dump_json(obj: dict) -> bytes:
+    """Canonical byte form of a file: compact, sorted keys, one line."""
+    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+
+
+def parse_game(data: bytes | str) -> AnonymousGame:
+    """Parse the JSON game format; validates every AnonymousGame invariant."""
+    return _load_json(data, "game", ("n", "k", "utilities"), lambda obj: AnonymousGame(
+        n=obj["n"], k=obj["k"], utilities=obj["utilities"]))
 
 
 def serialize_game(game: AnonymousGame) -> bytes:
@@ -270,25 +284,18 @@ def serialize_game(game: AnonymousGame) -> bytes:
         "utilities": [[[_frac_str(v) for v in row] for row in per_player]
                       for per_player in game.utilities],
     }
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return _dump_json(obj)
+
+
+def _build_profile(obj: dict) -> MixedProfile:
+    probs = obj["probs"]
+    if len(probs) != obj["n"] or any(len(r) != obj["k"] for r in probs):
+        raise GameFormatError("malformed profile file: probs shape disagrees with n, k")
+    return MixedProfile(probs=probs)
 
 
 def parse_profile(data: bytes | str) -> MixedProfile:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"malformed profile file: {exc}") from exc
-    if not isinstance(obj, dict) or not {"n", "k", "probs"} <= set(obj):
-        raise GameFormatError("malformed profile file: need keys n, k, probs")
-    probs = obj["probs"]
-    try:
-        if len(probs) != obj["n"] or any(len(r) != obj["k"] for r in probs):
-            raise GameFormatError("malformed profile file: probs shape disagrees with n, k")
-        return MixedProfile(probs=probs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, GameFormatError):
-            raise
-        raise GameFormatError(f"malformed profile file: {exc}") from exc
+    return _load_json(data, "profile", ("n", "k", "probs"), _build_profile)
 
 
 def serialize_profile(profile: MixedProfile) -> bytes:
@@ -297,14 +304,16 @@ def serialize_profile(profile: MixedProfile) -> bytes:
         "n": profile.n,
         "probs": [[_frac_str(v) for v in row] for row in profile.probs],
     }
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return _dump_json(obj)
 
 
 def random_game(n: int, k: int, seed: int) -> AnonymousGame:
-    """Utilities i.i.d. uniform on [0,1] from a seeded generator.
+    """Utilities i.i.d. uniform on [0,1] from numpy's seeded PCG64 stream
+    (numpy is imported here, not with the package).
 
     Same seed, same game; float draws are promoted to exact rationals.
     """
+    import numpy as np
     if n < 2 or k < 2:
         raise GameFormatError("anonymous game needs n >= 2 and k >= 2")
     size = partition_count(n - 1, k)
@@ -316,7 +325,9 @@ def random_game(n: int, k: int, seed: int) -> AnonymousGame:
 def random_profile(n: int, k: int, seed: int, denominator: int = 1000) -> MixedProfile:
     """Random rational profile, each row uniform over the compositions of
     `denominator` into k parts (so entries are exact multiples of
-    1/denominator and rows sum to exactly 1)."""
+    1/denominator and rows sum to exactly 1).  The draws come from numpy's
+    seeded PCG64 stream, like `random_game`'s."""
+    import numpy as np
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     rng = np.random.default_rng(seed)

@@ -11,17 +11,14 @@ what the oracle comparison checks, exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from typing import Sequence
 
-import numpy as np
-
 from .errors import GameFormatError
-from .games import as_fraction, require_int
+from .games import _dump_json, _frac_str, _load_json, as_fraction, require_int
 from .guards import check_guard
 from .sumdist import poisson_binomial_pmf
 
@@ -58,27 +55,13 @@ class ObjectiveFunctions:
 
 
 def parse_functions(data: bytes | str) -> ObjectiveFunctions:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"malformed function file: {exc}") from exc
-    if not isinstance(obj, dict) or not {"n", "functions"} <= set(obj):
-        raise GameFormatError("malformed function file: need keys n, functions")
-    try:
-        return ObjectiveFunctions(n=obj["n"], tables=obj["functions"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, GameFormatError):
-            raise
-        raise GameFormatError(f"malformed function file: {exc}") from exc
+    return _load_json(data, "function", ("n", "functions"), lambda obj: ObjectiveFunctions(
+        n=obj["n"], tables=obj["functions"]))
 
 
 def serialize_functions(funcs: ObjectiveFunctions) -> bytes:
-    obj = {
-        "functions": [[f"{v.numerator}/{v.denominator}" for v in row]
-                      for row in funcs.tables],
-        "n": funcs.n,
-    }
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return _dump_json({"functions": [[_frac_str(v) for v in row] for row in funcs.tables],
+                       "n": funcs.n})
 
 
 def objective_value(funcs: ObjectiveFunctions, probs: Sequence) -> Fraction:
@@ -101,14 +84,16 @@ def normalize_epsilon(epsilon) -> Fraction:
     return eps
 
 
-def _batch_values(funcs: ObjectiveFunctions, levels: np.ndarray,
-                  idx_rows: np.ndarray) -> np.ndarray:
-    """Objective for a batch of multisets given as level-index rows.
+def _batch_values(funcs: ObjectiveFunctions, levels, idx_rows):
+    """Objective for a batch of multisets given as level-index rows: a
+    numpy float array of the levels and an int array of index rows in,
+    one float per row out.
 
     Row results depend only on the row, so chunking never changes values;
     both grid searches share this evaluator, which is what makes their
     comparisons exact.
     """
+    import numpy as np
     n = funcs.n
     batch = idx_rows.shape[0]
     pmf = np.zeros((batch, n + 1))
@@ -130,7 +115,13 @@ class MinimaxResult:
 
 
 def _grid_search(funcs: ObjectiveFunctions, level_fracs: list[Fraction],
-                 what: str) -> tuple[float, tuple]:
+                 what: str, maximin: bool) -> tuple[float, tuple]:
+    """(value, multiset) of the best multiset of `level_fracs`.  With
+    maximin the search minimizes over the complemented tables and flips
+    the value back, so the largest smallest score is found."""
+    import numpy as np
+    if maximin:
+        funcs = funcs.complement()
     n = funcs.n
     num_levels = len(level_fracs)
     check_guard(math.comb(n + num_levels - 1, num_levels - 1), what)
@@ -148,6 +139,8 @@ def _grid_search(funcs: ObjectiveFunctions, level_fracs: list[Fraction],
         if best_value is None or values[local] < best_value:
             best_value = float(values[local])
             best_idx = chunk[local]
+    if maximin:
+        best_value = 1.0 - best_value
     return best_value, tuple(level_fracs[i] for i in best_idx)
 
 
@@ -160,13 +153,9 @@ def minimax_ptas(funcs: ObjectiveFunctions, epsilon,
     complementing the score tables inside [0, 1].
     """
     eps = normalize_epsilon(epsilon)
-    target = funcs.complement() if maximin else funcs
-    num_levels = eps.denominator + 1
-    level_fracs = [i * eps for i in range(num_levels)]
-    value, probs = _grid_search(target, level_fracs,
-                                f"minimax multiset grid at eps={eps}")
-    if maximin:
-        value = 1.0 - value
+    level_fracs = [i * eps for i in range(eps.denominator + 1)]
+    value, probs = _grid_search(funcs, level_fracs,
+                                f"minimax multiset grid at eps={eps}", maximin)
     return MinimaxResult(value=value, probs=probs, epsilon=eps)
 
 
@@ -177,10 +166,7 @@ def minimax_oracle(funcs: ObjectiveFunctions, grid: int,
     minimax_ptas(eps).value >= minimax_oracle(grid).value holds exactly."""
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    target = funcs.complement() if maximin else funcs
     level_fracs = [Fraction(i, grid) for i in range(grid + 1)]
-    value, probs = _grid_search(target, level_fracs,
-                                f"minimax multiset grid at 1/{grid}")
-    if maximin:
-        value = 1.0 - value
+    value, probs = _grid_search(funcs, level_fracs,
+                                f"minimax multiset grid at 1/{grid}", maximin)
     return MinimaxResult(value=value, probs=probs, epsilon=Fraction(1, grid))

@@ -9,7 +9,6 @@ eps-approximate equilibrium and exhaustive search must find one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,8 @@ from typing import Sequence
 
 from .discretize import largest_remainder_round
 from .errors import GameFormatError
-from .games import as_fraction, enumerate_partitions, require_int
+from .games import (_dump_json, _frac_str, _load_json, as_fraction,
+                    enumerate_partitions, require_int)
 from .guards import check_guard
 
 EXACT_NE_TOL = Fraction(1, 10 ** 9)
@@ -63,28 +63,13 @@ class NormalFormGame:
 
 
 def parse_nf_game(data: bytes | str) -> NormalFormGame:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"malformed normal-form file: {exc}") from exc
-    if not isinstance(obj, dict) or not {"p", "s", "utilities"} <= set(obj):
-        raise GameFormatError("malformed normal-form file: need keys p, s, utilities")
-    try:
-        return NormalFormGame(p=obj["p"], s=obj["s"], utilities=obj["utilities"])
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, GameFormatError):
-            raise
-        raise GameFormatError(f"malformed normal-form file: {exc}") from exc
+    return _load_json(data, "normal-form", ("p", "s", "utilities"), lambda obj: NormalFormGame(
+        p=obj["p"], s=obj["s"], utilities=obj["utilities"]))
 
 
 def serialize_nf_game(game: NormalFormGame) -> bytes:
-    obj = {
-        "p": game.p,
-        "s": game.s,
-        "utilities": [[f"{v.numerator}/{v.denominator}" for v in row]
-                      for row in game.utilities],
-    }
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    return _dump_json({"p": game.p, "s": game.s,
+                       "utilities": [[_frac_str(v) for v in row] for row in game.utilities]})
 
 
 def expected_payoffs(game: NormalFormGame, profile: Sequence[Sequence]) -> list:

@@ -49,6 +49,17 @@ class SumDistribution:
     counts: tuple
     den: int
 
+    def __post_init__(self):
+        # O(1) shape checks only, in one condition because a search builds
+        # many small laws; sign, sum and lowest terms are proved by the two
+        # producers, sum_distribution and leave_one_out
+        m, k, den = self.m, self.k, self.den
+        if not (type(m) is type(k) is type(den) is int and m >= 0 and k >= 1
+                and den >= 1 and len(self.counts) == partition_count(m, k)):
+            raise ValueError(f"a sum distribution needs integers m >= 0, k >= 1 and "
+                             f"den >= 1 and one count per cell of Pi^k_m; got m={m!r}, "
+                             f"k={k!r}, den={den!r} and {len(self.counts)} counts")
+
     @property
     def mass(self) -> tuple:
         """The exact masses, as `Fraction`s in lowest terms."""

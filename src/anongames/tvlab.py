@@ -13,12 +13,9 @@ checked directly: a failure means an implementation bug, not new science.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .discretize import DEFAULT_ALPHA, discretize_profile
 from .games import (MixedProfile, as_fraction, partition_count, random_profile)
@@ -29,8 +26,8 @@ from .tdp import floor_root_power
 PMF_TAIL = 1e-12   # truncate Poisson-family pmfs where the tail is below this
 
 
-def _poisson_pmf_truncated(lam: float) -> np.ndarray:
-    """Poisson pmf on 0..N with P(X > N) < PMF_TAIL.
+def _poisson_pmf_truncated(lam: float) -> list[float]:
+    """Poisson pmf on 0..N with P(X > N) < PMF_TAIL, as a list of floats.
 
     Built from the mode by the ratio pmf(j+1) / pmf(j) = lam / (j+1).
     Beyond the mode that ratio falls with j, so the tail past N is at most
@@ -40,7 +37,7 @@ def _poisson_pmf_truncated(lam: float) -> np.ndarray:
     if lam < 0:
         raise ValueError("rate must be non-negative")
     if lam == 0:
-        return np.array([1.0])
+        return [1.0]
     mode = math.floor(lam)
     pmf = [math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))]
     for j in range(mode, 0, -1):
@@ -50,24 +47,28 @@ def _poisson_pmf_truncated(lam: float) -> np.ndarray:
     while nxt / (1 - lam / (len(pmf) + 1)) >= PMF_TAIL:
         pmf.append(nxt)
         nxt *= lam / len(pmf)
-    return np.array(pmf)
+    return pmf
 
 
-def _tv_aligned(p: np.ndarray, off_p: int, q: np.ndarray, off_q: int) -> float:
+def _tv_aligned(p: Sequence[float], off_p: int, q: Sequence[float],
+                off_q: int) -> float:
     """TV of two truncated integer pmfs given their support offsets.
 
-    The truncated tails (< PMF_TAIL each) are added in full, making the
-    result a slight over-estimate; every bound check here compares with
-    a <=, so the conservative direction is the safe one.
+    Both are padded with zeros onto one support and every sum is a
+    correctly rounded `math.fsum`.  The truncated tails (< PMF_TAIL each)
+    are added in full, making the result a slight over-estimate; every
+    bound check here compares with a <=, so the conservative direction is
+    the safe one.
     """
     lo = min(off_p, off_q)
     hi = max(off_p + len(p), off_q + len(q))
-    grid_p = np.zeros(hi - lo)
-    grid_q = np.zeros(hi - lo)
-    grid_p[off_p - lo:off_p - lo + len(p)] = p
-    grid_q[off_q - lo:off_q - lo + len(q)] = q
-    tails = (1.0 - p.sum()) + (1.0 - q.sum())
-    return float(0.5 * (np.abs(grid_p - grid_q).sum() + max(tails, 0.0)))
+
+    def pad(pmf, off):
+        return [0.0] * (off - lo) + list(pmf) + [0.0] * (hi - off - len(pmf))
+
+    tails = (1.0 - math.fsum(p)) + (1.0 - math.fsum(q))
+    diff = math.fsum(abs(a - b) for a, b in zip(pad(p, off_p), pad(q, off_q)))
+    return 0.5 * (diff + max(tails, 0.0))
 
 
 @dataclass(frozen=True)
@@ -88,20 +89,20 @@ def poisson_tv_check(probs: Sequence, z: int, alpha) -> BoundCheck:
     ps = [as_fraction(p) for p in probs]
     if any(p > threshold for p in ps):
         raise ValueError(f"all Bernoulli parameters must be <= {threshold}")
-    pb = np.array([float(m) for m in poisson_binomial_pmf(ps)])
+    pb = [float(m) for m in poisson_binomial_pmf(ps)]
     lam = float(sum(ps))
     po = _poisson_pmf_truncated(lam)
     tv = _tv_aligned(pb, 0, po, 0)
     bound = float(z) ** (float(alpha) - 1.0)
-    return BoundCheck(tv=tv, bound=bound, passed=bool(tv <= bound))
+    return BoundCheck(tv=tv, bound=bound, passed=tv <= bound)
 
 
-def translated_poisson_pmf(mu: float, var: float) -> tuple[int, np.ndarray]:
+def translated_poisson_pmf(mu: float, var: float) -> tuple[int, list[float]]:
     """Poisson(var + frac(mu - var)) shifted by floor(mu - var); returns
-    (offset, pmf over offset..offset+N)."""
+    (offset, pmf over offset..offset+N as a list of floats)."""
     if var <= 0:
         raise ValueError("variance must be positive")
-    shift = int(np.floor(mu - var))
+    shift = math.floor(mu - var)
     lam = var + ((mu - var) - shift)
     return shift, _poisson_pmf_truncated(lam)
 
@@ -114,13 +115,13 @@ def translated_poisson_tv_check(mu1: float, var1: float,
     needed)."""
     if var1 <= 0 or var2 <= 0:
         raise ValueError("variances must be positive")
-    if np.floor(mu1 - var1) > np.floor(mu2 - var2):
+    if math.floor(mu1 - var1) > math.floor(mu2 - var2):
         mu1, var1, mu2, var2 = mu2, var2, mu1, var1
     off1, p1 = translated_poisson_pmf(mu1, var1)
     off2, p2 = translated_poisson_pmf(mu2, var2)
     tv = _tv_aligned(p1, off1, p2, off2)
-    bound = abs(mu1 - mu2) / np.sqrt(var1) + (abs(var1 - var2) + 1.0) / var1
-    return BoundCheck(tv=tv, bound=float(bound), passed=bool(tv <= bound))
+    bound = abs(mu1 - mu2) / math.sqrt(var1) + (abs(var1 - var2) + 1.0) / var1
+    return BoundCheck(tv=tv, bound=bound, passed=tv <= bound)
 
 
 def poisson_poisson_tv_check(lam0: float, d: float) -> BoundCheck:
@@ -132,8 +133,8 @@ def poisson_poisson_tv_check(lam0: float, d: float) -> BoundCheck:
     p = _poisson_pmf_truncated(lam0 + d)
     q = _poisson_pmf_truncated(lam0)
     tv = _tv_aligned(p, 0, q, 0)
-    bound = d * np.sqrt(2.0 / lam0)
-    return BoundCheck(tv=tv, bound=float(bound), passed=bool(tv <= bound))
+    bound = d * math.sqrt(2.0 / lam0)
+    return BoundCheck(tv=tv, bound=bound, passed=tv <= bound)
 
 
 def discretization_tv(profile: MixedProfile, z: int,
@@ -230,6 +231,7 @@ def n_independence_experiment(k: int, z_list: Sequence[int], n_list: Sequence[in
               mix_trial_seed(base_seed, z, n, trial), denominator)
              for z in z_list for n in n_list for trial in range(trials)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_trial, tasks, chunksize=8))
     else:

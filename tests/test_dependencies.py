@@ -12,12 +12,15 @@ import anongames
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_import_does_not_load_scipy():
-    # the child imports the same anongames as this process (src/ or site-packages)
+@pytest.mark.parametrize("package", ["scipy", "numpy", "multiprocessing"])
+def test_import_does_not_load(package):
+    # the child imports the same anongames as this process (src/ or site-packages);
+    # numpy is imported by the functions that draw from it, and the process pool
+    # (which loads multiprocessing) only by tv-experiment with jobs > 1
     env = dict(os.environ, PYTHONPATH=str(Path(anongames.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, anongames; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

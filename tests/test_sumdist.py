@@ -392,6 +392,16 @@ def test_leave_one_out_rejects_malformed_calls():
     assert leave_one_out(sum_distribution([(1,)] * 3), (1,)) == sum_distribution([(1,)] * 2)
 
 
+def test_sum_distribution_rejects_a_malformed_shape():
+    # Pi^2_2 has three cells, so two counts are no law on it
+    with pytest.raises(ValueError, match="one count per cell"):
+        SumDistribution(m=2, k=2, counts=(1, 1), den=2)
+    for m, k, den in [(-1, 2, 1), (1, 0, 1), (0, 2, 0), (1.0, 2, 1), (1, 2, True)]:
+        with pytest.raises(ValueError):
+            SumDistribution(m=m, k=k, counts=(1, 1), den=den)
+    assert SumDistribution(m=0, k=3, counts=(1,), den=1) == sum_distribution([], k=3)
+
+
 def reference_float_poisson_binomial(probs):
     """The float one-row DP that poisson_tv_check used before it read the
     exact pmf."""
