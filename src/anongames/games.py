@@ -248,12 +248,12 @@ def _load_json(data: bytes | str, what: str, keys: tuple[str, ...],
                build: Callable[[dict], object]):
     """The one reader of the package's JSON file formats: decode `data`,
     require an object with `keys`, and return build(obj).  Undecodable
-    JSON, missing keys, and a TypeError or ValueError from the build
-    become GameFormatError("malformed <what> file: ..."); a GameFormatError
-    from the build passes through unchanged."""
+    JSON or text, missing keys, and a TypeError or ValueError from the
+    build become GameFormatError("malformed <what> file: ..."); a
+    GameFormatError from the build passes through unchanged."""
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GameFormatError(f"malformed {what} file: {exc}") from exc
     if not isinstance(obj, dict) or not set(keys) <= set(obj):
         raise GameFormatError(f"malformed {what} file: need keys {', '.join(keys)}")

@@ -27,10 +27,14 @@ def _env_cap() -> int | None:
     return cap
 
 
+def active_cap(default_cap: int) -> int:
+    """The cap check_guard applies: ANON_GUARD_CELLS when set, else default_cap."""
+    cap = _env_cap()
+    return default_cap if cap is None else cap
+
+
 def check_guard(size: int, what: str, default_cap: int = SEARCH_CAP) -> None:
     """Raise GuardExceeded when `size` is over the active cap."""
-    cap = _env_cap()
-    if cap is None:
-        cap = default_cap
+    cap = active_cap(default_cap)
     if size > cap:
         raise GuardExceeded(what, size, cap)

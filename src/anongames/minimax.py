@@ -7,6 +7,11 @@ values from {0, eps, 2*eps, ..., 1} rather than the full product grid.
 Restricting to the grid costs the optimum only a discretization loss
 that vanishes with eps; the nesting of coarse grids inside fine ones is
 what the oracle comparison checks, exactly.
+
+Exchangeability also lets multisets that share a sorted prefix share that
+prefix's partial pmf: the search walks a trie of non-decreasing level
+sequences in lex order, one Bernoulli step per trie edge, in blocks of
+subtrees whose float cells are bounded by LATTICE_CAP.
 """
 
 from __future__ import annotations
@@ -14,15 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
 from typing import Sequence
 
 from .errors import GameFormatError
 from .games import _dump_json, _frac_str, _load_json, as_fraction, require_int
-from .guards import check_guard
+from .guards import LATTICE_CAP, active_cap, check_guard
 from .sumdist import poisson_binomial_pmf
-
-_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -84,29 +86,6 @@ def normalize_epsilon(epsilon) -> Fraction:
     return eps
 
 
-def _batch_values(funcs: ObjectiveFunctions, levels, idx_rows):
-    """Objective for a batch of multisets given as level-index rows: a
-    numpy float array of the levels and an int array of index rows in,
-    one float per row out.
-
-    Row results depend only on the row, so chunking never changes values;
-    both grid searches share this evaluator, which is what makes their
-    comparisons exact.
-    """
-    import numpy as np
-    n = funcs.n
-    batch = idx_rows.shape[0]
-    pmf = np.zeros((batch, n + 1))
-    pmf[:, 0] = 1.0
-    for t in range(n):
-        p = levels[idx_rows[:, t]][:, None]
-        nxt = pmf * (1.0 - p)
-        nxt[:, 1:] += pmf[:, :-1] * p
-        pmf = nxt
-    tables = np.array([[float(v) for v in row] for row in funcs.tables])
-    return np.max(pmf @ tables.T, axis=1)
-
-
 @dataclass(frozen=True)
 class MinimaxResult:
     value: float
@@ -114,31 +93,107 @@ class MinimaxResult:
     epsilon: Fraction     # grid pitch actually used
 
 
+def _trie_plan(n: int, num_levels: int, what: str) -> tuple[int, int]:
+    """(split depth d, leaves per block) of the trie search.
+
+    With L levels, P(t) = C(t+L-1, L-1) counts the prefixes of length t,
+    and the largest subtree under one of them (the all-zero prefix) has
+    P(n-t) leaves.  The search holds the pmf rows of all P(d) prefixes
+    of length d and one block of at most P(n-d) leaves below them, each
+    row n+1 floats: (n+1) (P(d) + P(n-d)) cells.  That count is symmetric
+    and convex in d, so its least value, at d = n//2, is checked against
+    LATTICE_CAP before anything is built, and d is the shallowest depth
+    whose count fits.
+    """
+    def cells(d: int) -> int:
+        return (n + 1) * (math.comb(d + num_levels - 1, num_levels - 1)
+                          + math.comb(n - d + num_levels - 1, num_levels - 1))
+
+    check_guard(cells(n // 2), f"{what} (pmf cells held at once)", LATTICE_CAP)
+    cap = active_cap(LATTICE_CAP)
+    depth = next(d for d in range(n // 2 + 1) if cells(d) <= cap)
+    return depth, math.comb(n - depth + num_levels - 1, num_levels - 1)
+
+
+def _children(levels, pmf, last):
+    """One trie level down: each prefix (a pmf row and its last level
+    index) followed by each level from its last one up, in lex order.
+    Returns the children's pmf rows, parent rows and last levels."""
+    import numpy as np
+    counts = len(levels) - last
+    parent = np.repeat(np.arange(last.size), counts)
+    child_last = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts - last,
+                                                    counts)
+    p = levels[child_last][:, None]
+    grown = pmf[parent]
+    nxt = grown * (1.0 - p)
+    grown[:, :-1] *= p
+    nxt[:, 1:] += grown[:, :-1]
+    return nxt, parent, child_last
+
+
 def _grid_search(funcs: ObjectiveFunctions, level_fracs: list[Fraction],
                  what: str, maximin: bool) -> tuple[float, tuple]:
-    """(value, multiset) of the best multiset of `level_fracs`.  With
-    maximin the search minimizes over the complemented tables and flips
-    the value back, so the largest smallest score is found."""
-    import numpy as np
-    if maximin:
-        funcs = funcs.complement()
+    """(value, multiset) of the best multiset of `level_fracs`: the one
+    evaluator of both grid searches.  With maximin the search minimizes
+    over the complemented tables and flips the value back, so the largest
+    smallest score is found.
+
+    Multisets are the leaves of a prefix trie over non-decreasing level
+    sequences.  The trie is built level by level in lex order down to the
+    split depth of `_trie_plan`; below it, runs of consecutive prefixes
+    of at most the plan's leaf count form blocks, each grown to its
+    leaves.  A child's pmf is its parent's after one more Bernoulli step,
+    the same float operations in the same order as a row rebuilt from the
+    empty sum, so a multiset's value depends on the multiset alone: not on
+    the block sizes and not on the grid it sits in.  That is what makes
+    the grid comparisons exact.  Within a block the first minimum wins,
+    across blocks only a strictly smaller one, so ties go to the
+    lex-first multiset.
+    """
     n = funcs.n
     num_levels = len(level_fracs)
     check_guard(math.comb(n + num_levels - 1, num_levels - 1), what)
+    depth, block_leaves = _trie_plan(n, num_levels, what)
+    import numpy as np
+    if maximin:
+        funcs = funcs.complement()
     levels = np.array([float(v) for v in level_fracs])
-    best_value = None
-    best_idx = None
-    it = combinations_with_replacement(range(num_levels), n)
-    while True:
-        chunk = list(islice(it, _CHUNK))
-        if not chunk:
-            break
-        rows = np.array(chunk, dtype=np.int64)
-        values = _batch_values(funcs, levels, rows)
-        local = int(np.argmin(values))
-        if best_value is None or values[local] < best_value:
-            best_value = float(values[local])
-            best_idx = chunk[local]
+    tables = np.array([[float(v) for v in row] for row in funcs.tables])
+    pmf = np.zeros((1, n + 1))
+    pmf[0, 0] = 1.0
+    last = np.zeros(1, dtype=np.intp)
+    top = []                    # (parent, last) per level above the blocks
+    for _ in range(depth):
+        pmf, parent, last = _children(levels, pmf, last)
+        top.append((parent, last))
+    below = [math.comb(n - depth + num_levels - level - 1, num_levels - level - 1)
+             for level in range(num_levels)]
+    ends = np.cumsum(np.array(below)[last])
+    best_value = best_idx = None
+    start = 0
+    while start < last.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + block_leaves, side="right")))
+        rows, row_last = pmf[start:stop], last[start:stop]
+        steps = []
+        for _ in range(n - depth):
+            rows, parent, row_last = _children(levels, rows, row_last)
+            steps.append((parent, row_last))
+        values = np.max(rows @ tables.T, axis=1)
+        i = int(np.argmin(values))
+        if best_value is None or values[i] < best_value:
+            best_value = float(values[i])
+            idx = []
+            for parent, lv in reversed(steps):
+                idx.append(int(lv[i]))
+                i = int(parent[i])
+            i += start
+            for parent, lv in reversed(top):
+                idx.append(int(lv[i]))
+                i = int(parent[i])
+            best_idx = idx[::-1]
+        start = stop
     if maximin:
         best_value = 1.0 - best_value
     return best_value, tuple(level_fracs[i] for i in best_idx)

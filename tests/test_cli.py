@@ -258,6 +258,42 @@ def test_split_guard_runs_before_the_strategy_grid_is_built(workdir, capsys,
         "ANON_GUARD_CELLS)\n")
 
 
+def test_function_file_over_the_trie_cell_cap_is_refused(workdir, capsys, monkeypatch):
+    # n=200000 at eps=1 has only 200001 multisets, but any split of the
+    # search trie holds over 4e10 pmf cells; the flat batch it replaced
+    # built 65536 rows of 200001 floats and was killed for memory.  Nearly
+    # all of the time here is parsing the 200001 fractions.
+    monkeypatch.delenv("ANON_GUARD_CELLS", raising=False)
+    path = workdir / "wide.json"
+    path.write_text(json.dumps({"n": 200000, "functions": [["1/2"] * 200001]}))
+    t0 = time.perf_counter()
+    code = cli.main(["minimax", "--funcs", str(path), "--epsilon", "1"])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: minimax multiset grid at eps=1 (pmf cells held at once) has size "
+        "40000600002, exceeding the cap of 1000000 (override with ANON_GUARD_CELLS)\n")
+
+
+@pytest.mark.parametrize("what, argv", [
+    ("game", ("verify", "--game", "bad.json", "--profile", "p.json", "--epsilon", "1/10")),
+    ("profile", ("verify", "--game", "GAME", "--profile", "bad.json", "--epsilon", "1/10")),
+    ("function", ("minimax", "--funcs", "bad.json", "--epsilon", "1/2")),
+    ("normal-form", ("quasi", "--game", "bad.json", "--epsilon", "1/2")),
+])
+def test_invalid_utf8_file_is_malformed(workdir, what, argv):
+    (workdir / "bad.json").write_bytes(b'{"n": 1, "\xc3\x28": 2}')
+    (workdir / "p.json").write_text(json.dumps(
+        {"k": 2, "n": 2, "probs": [["1/2", "1/2"], ["1/2", "1/2"]]}))
+    game_path = write_anti_coordination(workdir)
+    args = [game_path if a == "GAME" else workdir / a if a.endswith(".json") else a
+            for a in argv]
+    code, out, err = run_cli(*args)
+    assert (code, out) == (2, b"")
+    assert err == (f"error: malformed {what} file: 'utf-8' codec can't decode byte "
+                   "0xc3 in position 10: invalid continuation byte\n").encode()
+
+
 # (argv with file placeholders, files written first): every malformed input
 # below must be reported as a usage error, never as a crash
 MALFORMED_INPUTS = {
