@@ -22,7 +22,7 @@ from . import (DEFAULT_ALPHA, GameFormatError, GuardExceeded, discretize_profile
 from .games import MixedProfile, as_fraction, partition_count, profile_support
 from .guards import LATTICE_CAP, check_guard
 from .sumdist import sum_distribution
-from .tdp import build_tdp_tree, format_tree
+from .tdp import build_tdp_tree, check_alpha, format_tree, leaf_threshold
 
 
 def _fraction(text: str) -> Fraction:
@@ -133,6 +133,10 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_tdp_dump(args) -> int:
+    if args.z is None:
+        check_alpha(args.alpha)
+    else:
+        leaf_threshold(args.z, args.alpha)
     profile = parse_profile(_read(args.profile))
     players = [args.player] if args.player is not None else range(profile.n)
     for p in players:

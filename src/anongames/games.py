@@ -345,4 +345,4 @@ def random_profile(n: int, k: int, seed: int, denominator: int = 1000) -> MixedP
 
 def profile_support(row: Iterable[Fraction]) -> tuple[int, ...]:
     """Indices of the strictly positive entries of one probability vector."""
-    return tuple(i for i, v in enumerate(row) if v > 0)
+    return tuple(i for i, v in enumerate(row) if v.numerator > 0)

@@ -46,7 +46,7 @@ class ObjectiveFunctions:
                 raise GameFormatError(
                     f"each function needs {self.n + 1} values f(0)..f(n)")
             vals = tuple(as_fraction(v) for v in row)
-            if any(v < 0 or v > 1 for v in vals):
+            if any(not 0 <= v.numerator <= v.denominator for v in vals):
                 raise GameFormatError("function value out of range [0, 1]")
             coerced.append(vals)
         object.__setattr__(self, "tables", tuple(coerced))

@@ -14,11 +14,16 @@ second element; the rest sort by (probability, index)).  Cell keys and
 per-leaf rounding both depend on this order, so it is part of the data,
 not a display choice.
 
-All arithmetic is exact; doubling and remainders never round.
+All arithmetic is exact and runs on integers.  A row with probabilities
+a_s/D (D the lcm of its denominators) keeps that D at every node of its
+tree: doubling maps a to 2a, a complement is D minus a sum, and the
+split test compares 2 * prefix with D.  `TdpNode.probs` is a Fraction
+view of a node's numerators over D.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,13 +31,17 @@ from typing import Sequence
 from .errors import TdpStructureError
 from .games import as_fraction
 
-HALF = Fraction(1, 2)
+# bit size allowed for the exact comparison t**q <= z**p behind
+# floor(z**(p/q)); an alpha with a huge denominator (a float's 2**53, say)
+# would otherwise start an unbounded power
+ROOT_POWER_BITS = 1 << 20
 
 
 @dataclass(frozen=True)
 class TdpNode:
     strategies: tuple[int, ...]     # canonical order, largest probability second
-    probs: tuple[Fraction, ...]     # aligned with `strategies`, sums to 1
+    nums: tuple[int, ...]           # aligned with `strategies`, sums to `den`
+    den: int                        # the row's denominator, shared by its whole tree
     depth: int
     left: "TdpNode | None" = None
     right: "TdpNode | None" = None
@@ -41,8 +50,13 @@ class TdpNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The node's probabilities, aligned with `strategies`."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
     def prob_of(self, strategy: int) -> Fraction:
-        return self.probs[self.strategies.index(strategy)]
+        return Fraction(self.nums[self.strategies.index(strategy)], self.den)
 
 
 @dataclass(frozen=True)
@@ -51,62 +65,62 @@ class TdpTree:
     leaves: tuple[TdpNode, ...]     # preorder (left before right)
 
 
-def order_support(strategies: Sequence[int], probs: Sequence[Fraction]):
+def order_support(strategies: Sequence[int], probs: Sequence):
     """Canonical node order: largest probability second, rest nondecreasing.
 
     Among strategies tied for the maximum, the smallest index is placed
     second; the remaining strategies sort ascending by (probability, index).
     """
-    items = sorted(zip(strategies, probs))
-    if len(items) == 1:
-        return (items[0][0],), (items[0][1],)
-    max_p = max(p for _, p in items)
-    second = min(s for s, p in items if p == max_p)
-    rest = sorted(((s, p) for s, p in items if s != second), key=lambda t: (t[1], t[0]))
-    ordered = [rest[0]] + [(second, max_p)] + rest[1:]
-    return tuple(s for s, _ in ordered), tuple(p for _, p in ordered)
+    items = sorted(zip(probs, strategies))
+    if len(items) > 1:
+        j = len(items) - 1
+        while j and items[j - 1][0] == items[-1][0]:
+            j -= 1
+        items.insert(1, items.pop(j))
+    probs, strategies = zip(*items)
+    return strategies, probs
 
 
-def _split_index(probs: Sequence[Fraction]) -> int:
+def _split_index(nums: Sequence[int], den: int) -> int:
     """The unique 1-based position l* with prefix sum <= 1/2 and suffix
-    sum < 1/2.  Uniqueness is re-checked on every call and violations are
-    surfaced as TdpStructureError."""
-    m = len(probs)
-    prefix = Fraction(0)
-    total = sum(probs)
+    sum < 1/2, for numerators over den summing to den.  Uniqueness is
+    re-checked on every call and violations are surfaced as
+    TdpStructureError."""
+    prefix = 0
     hits = []
-    for ell in range(1, m):           # l* < m
-        suffix = total - prefix - probs[ell - 1]
-        if prefix <= HALF and suffix < HALF:
+    for ell in range(1, len(nums)):   # l* < m
+        suffix = den - prefix - nums[ell - 1]
+        if 2 * prefix <= den and 2 * suffix < den:
             hits.append(ell)
-        prefix += probs[ell - 1]
+        prefix += nums[ell - 1]
     if len(hits) != 1:
         raise TdpStructureError(
-            f"split index not unique for probabilities {probs}: candidates {hits}")
+            f"split index not unique for numerators {nums} over {den}: candidates {hits}")
     return hits[0]
 
 
-def _build(strategies, probs, depth: int, leaves: list) -> TdpNode:
-    strategies, probs = order_support(strategies, probs)
+def _build(strategies, nums, den: int, depth: int, leaves: list) -> TdpNode:
+    strategies, nums = order_support(strategies, nums)
     if len(strategies) <= 2:
-        node = TdpNode(strategies, probs, depth)
+        node = TdpNode(strategies, nums, den, depth)
         leaves.append(node)
         return node
 
-    ell = _split_index(probs)
-    left_items = [(strategies[j], 2 * probs[j]) for j in range(ell - 1)]
-    t = 1 - sum(p for _, p in left_items)
-    if t != 0:
-        left_items.append((strategies[ell - 1], t))
-    right_rest = [(strategies[j], 2 * probs[j]) for j in range(ell, len(strategies))]
-    pivot_mass = 1 - sum(p for _, p in right_rest)
-    right_items = [(strategies[ell - 1], pivot_mass)] + right_rest
+    ell = _split_index(nums, den)
+    pivot = strategies[ell - 1]
+    left_s = list(strategies[:ell - 1])
+    left_a = [2 * a for a in nums[:ell - 1]]
+    t = den - sum(left_a)
+    if t:
+        left_s.append(pivot)
+        left_a.append(t)
+    right_s = [pivot, *strategies[ell:]]
+    right_a = [2 * a for a in nums[ell:]]
+    right_a.insert(0, den - sum(right_a))
 
-    left = _build([s for s, _ in left_items], [p for _, p in left_items],
-                  depth + 1, leaves)
-    right = _build([s for s, _ in right_items], [p for _, p in right_items],
-                   depth + 1, leaves)
-    return TdpNode(strategies, probs, depth, left, right)
+    left = _build(left_s, left_a, den, depth + 1, leaves)
+    right = _build(right_s, right_a, den, depth + 1, leaves)
+    return TdpNode(strategies, nums, den, depth, left, right)
 
 
 def build_tdp_tree(strategies: Sequence[int], probs: Sequence) -> TdpTree:
@@ -121,12 +135,14 @@ def build_tdp_tree(strategies: Sequence[int], probs: Sequence) -> TdpTree:
         raise ValueError("need one probability per strategy, at least one strategy")
     if len(set(strategies)) != len(strategies):
         raise ValueError("duplicate strategy in support")
-    if any(p <= 0 for p in probs):
+    if any(p.numerator <= 0 for p in probs):
         raise ValueError("trickle-down input requires strictly positive probabilities")
-    if sum(probs) != 1:
+    den = math.lcm(*(p.denominator for p in probs))
+    nums = [p.numerator * (den // p.denominator) for p in probs]
+    if sum(nums) != den:
         raise ValueError("probabilities must sum to exactly 1")
     leaves: list[TdpNode] = []
-    root = _build(list(strategies), probs, 0, leaves)
+    root = _build(strategies, nums, den, 0, leaves)
     return TdpTree(root=root, leaves=tuple(leaves))
 
 
@@ -152,14 +168,28 @@ def sample_strategy(tree: TdpTree, rng) -> int:
     return node.strategies[0] if rng.random() < node.probs[0] else node.strategies[1]
 
 
-def floor_root_power(z: int, alpha: Fraction) -> int:
-    """floor(z**alpha) for rational alpha, in exact integer arithmetic."""
+def check_alpha(alpha) -> Fraction:
+    """alpha as a Fraction, which must lie strictly between 0 and 1."""
     alpha = as_fraction(alpha)
-    if z < 1:
-        raise ValueError("z must be >= 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    return alpha
+
+
+def floor_root_power(z: int, alpha: Fraction) -> int:
+    """floor(z**alpha) for rational alpha, in exact integer arithmetic.
+
+    With alpha = p/q the answer t satisfies t**q <= z**p < (t+1)**q.  Those
+    powers have about q * log2(z) bits, so an alpha whose denominator makes
+    that more than ROOT_POWER_BITS is refused before any power is taken.
+    """
+    if z < 1:
+        raise ValueError("z must be >= 1")
+    alpha = check_alpha(alpha)
     p, q = alpha.numerator, alpha.denominator
+    if q * z.bit_length() > ROOT_POWER_BITS:
+        raise ValueError(f"alpha denominator {q} is too large for an exact "
+                         f"floor(z**alpha) at z={z}")
     target = z ** p
     t = max(int(round(z ** float(alpha))), 0)
     while t ** q > target:
@@ -169,29 +199,39 @@ def floor_root_power(z: int, alpha: Fraction) -> int:
     return t
 
 
+def leaf_threshold(z: int, alpha) -> int:
+    """floor(z**alpha) for a grid z >= 2: a support-2 leaf is type 'A'
+    when its smaller probability is at most this many multiples of 1/z."""
+    if z < 2:
+        raise ValueError("z must be >= 2")
+    return floor_root_power(z, alpha)
+
+
+def _signature(node: TdpNode, z: int, threshold: int) -> tuple:
+    """cell_signature below `node`, with floor(z**alpha) given: a leaf is
+    type 'A' when its smaller probability a/D has a * z <= threshold * D."""
+    if node.is_leaf:
+        if len(node.strategies) != 2:
+            raise ValueError("only support-2 leaves have a type")
+        kind = "A" if node.nums[0] * z <= threshold * node.den else "B"
+        return ("L", node.strategies, kind)
+    return ("N", node.strategies, _signature(node.left, z, threshold),
+            _signature(node.right, z, threshold))
+
+
 def classify_leaf(leaf: TdpNode, z: int, alpha) -> str:
     """'A' when the leaf's smaller probability is at most floor(z^alpha)/z
     (the threshold is inclusive), else 'B'."""
     if len(leaf.strategies) != 2:
         raise ValueError("only support-2 leaves have a type")
-    if z < 2:
-        raise ValueError("z must be >= 2")
-    threshold = Fraction(floor_root_power(z, as_fraction(alpha)), z)
-    return "A" if leaf.probs[0] <= threshold else "B"
+    return _signature(leaf, z, leaf_threshold(z, alpha))[2]
 
 
 def cell_signature(tree: TdpTree, z: int, alpha) -> tuple:
     """Canonical cell key: tree shape, each node's ordered strategy list,
     and each leaf's type.  Two strategies share a cell exactly when their
     keys are equal."""
-    alpha = as_fraction(alpha)
-
-    def sig(node: TdpNode) -> tuple:
-        if node.is_leaf:
-            return ("L", node.strategies, classify_leaf(node, z, alpha))
-        return ("N", node.strategies, sig(node.left), sig(node.right))
-
-    return sig(tree.root)
+    return _signature(tree.root, z, leaf_threshold(z, alpha))
 
 
 def tree_shape_key(tree: TdpTree) -> tuple:

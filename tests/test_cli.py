@@ -473,3 +473,101 @@ def test_tv_experiment_flags_never_crash(tmp_path, k, zs, ns, trials):
     code = _exit_code(["tv-experiment", f"--k={k}", f"--z={zs}", f"--n={ns}",
                        f"--trials={trials}", "--seed=0", "--out", out])
     assert out.exists() == (code == 0)
+
+
+# --- alpha is checked up front ----------------------------------------------------
+
+_PURE_PROFILE = {"k": 2, "n": 2, "probs": [["1/1", "0/1"], ["0/1", "1/1"]]}
+_ALPHA_RANGE = "error: alpha must lie strictly between 0 and 1\n"
+
+
+@pytest.mark.parametrize("alpha", ["2", "0", "1"])
+def test_alpha_out_of_range_is_refused_without_a_typed_leaf(workdir, capsys, alpha):
+    # every row is pure, so no leaf ever needs the alpha threshold
+    prof_path = workdir / "p.json"
+    prof_path.write_text(json.dumps(_PURE_PROFILE))
+    out_path = workdir / "out.json"
+    argvs = [["discretize", "--profile", prof_path, "--z", "10", "--alpha", alpha,
+              "--out", out_path],
+             ["tdp-dump", "--profile", prof_path, "--alpha", alpha],
+             ["tdp-dump", "--profile", prof_path, "--z", "10", "--alpha", alpha]]
+    for argv in argvs:
+        assert cli.main([str(a) for a in argv]) == 2, argv
+        assert capsys.readouterr() == ("", _ALPHA_RANGE), argv
+    assert not out_path.exists()
+
+
+def test_alpha_with_a_huge_denominator_is_refused_fast(workdir, capsys):
+    # imported first so that, without the size check, the test stops here
+    # instead of starting a power with ~10**10 bits
+    from anongames.tdp import ROOT_POWER_BITS
+    assert 10 ** 10 * (4).bit_length() > ROOT_POWER_BITS
+    prof_path = workdir / "p.json"
+    prof_path.write_text(json.dumps(
+        {"k": 2, "n": 1, "probs": [["1/2", "1/2"]]}))
+    out_path = workdir / "out.json"
+    message = ("error: alpha denominator 10000000000 is too large for an exact "
+               "floor(z**alpha) at z=4\n")
+    t0 = time.perf_counter()
+    for argv in (["discretize", "--profile", prof_path, "--z", "4",
+                  "--alpha", "0.6000000001", "--out", out_path],
+                 ["tdp-dump", "--profile", prof_path, "--z", "4",
+                  "--alpha", "0.6000000001"]):
+        assert cli.main([str(a) for a in argv]) == 2, argv
+        assert capsys.readouterr() == ("", message), argv
+    assert time.perf_counter() - t0 < 0.5
+    assert not out_path.exists()
+
+
+# --- pinned bytes of the rounding path ------------------------------------------
+
+_PINNED_PROFILE = {"k": 4, "n": 8, "probs": [
+    ["1/3", "1/3", "1/3", "0/1"],        # three-way tie
+    ["32/100", "0/1", "68/100", "0/1"],  # support 2, explicit zeros
+    ["1/1", "0/1", "0/1", "0/1"],        # singleton: passes through
+    ["1/4", "1/2", "1/8", "1/8"],
+    ["29/97", "41/97", "20/97", "7/97"],
+    ["1/5", "3/10", "1/4", "1/4"],       # split prefix exactly 1/2
+    ["1/3", "1/3", "1/6", "1/6"],
+    ["31/100", "33/100", "19/100", "17/100"],
+]}
+
+# SHA-256 of (stdout with the work directory replaced by "WORK", then each
+# written file), one per command; recorded before the trees and the
+# rounding moved to integer numerators, so any later change to the bytes
+# of these outputs shows here
+_PINNED_DIGESTS = {
+    "discretize": "c9b6539de71a856dafae27629599930cc493b806e087154de7c9f6facffd983f",
+    "tdp-dump": "5180788880cb4cc43492f75c1517676321867ea64d7f102da48c5e1ef678fc70",
+    "tv-experiment": "a08cb4b0949d61e74c3606ba91067e43f6addcd2a108c926180c0e686ac2f835",
+}
+
+
+def _pinned_runs(workdir):
+    prof_path = workdir / "p.json"
+    prof_path.write_bytes(json.dumps(_PINNED_PROFILE).encode())
+    return {
+        "discretize": (("discretize", "--profile", prof_path, "--z", 10,
+                        "--out", workdir / "d.json", "--sumdist-out", workdir / "d.csv"),
+                       ("d.json", "d.csv")),
+        "tdp-dump": (("tdp-dump", "--profile", prof_path, "--z", 20), ()),
+        "tv-experiment": (("tv-experiment", "--k", 3, "--z", "5,20", "--n", "2,4",
+                           "--trials", 2, "--seed", 11, "--out", workdir / "tv.csv"),
+                          ("tv.csv",)),
+    }
+
+
+def _pinned_digest(workdir, argv, files) -> str:
+    import hashlib
+    code, out, err = run_cli(*argv)
+    assert code == 0 and err == b"", err
+    digest = hashlib.sha256(out.replace(str(workdir).encode(), b"WORK"))
+    for name in files:
+        digest.update((workdir / name).read_bytes())
+    return digest.hexdigest()
+
+
+def test_rounding_path_bytes_are_pinned(workdir):
+    got = {name: _pinned_digest(workdir, argv, files)
+           for name, (argv, files) in _pinned_runs(workdir).items()}
+    assert got == _PINNED_DIGESTS

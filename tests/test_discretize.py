@@ -1,11 +1,17 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anongames import (MixedProfile, discretize_profile,
                        largest_remainder_round, random_profile, round_cell)
+from anongames.games import profile_support
 from anongames.tdp import build_tdp_tree
 from anongames.tvlab import discretization_tv
+from tests.test_tdp import (GATE_ALPHAS, GATE_SETTINGS, GATE_ZS, gate_profiles,
+                            ref_signature, ref_tree)
 
 
 def test_largest_remainder_spec_trace():
@@ -149,3 +155,108 @@ def test_within_cell_sum_preserved_to_one_z():
     before = sum(r[0] for r in rows)
     after = sum(r[0] for r in disc.probs)
     assert abs(after - before) <= F(1, z)
+
+
+def test_discretize_checks_alpha_without_a_typed_leaf():
+    pure = MixedProfile(probs=((F(1), F(0)), (F(0), F(1))))
+    for alpha in (F(7), F(0), F(1)):
+        with pytest.raises(ValueError, match="alpha must lie strictly between"):
+            discretize_profile(pure, 10, alpha)
+
+
+def test_discretize_refuses_a_float_alpha():
+    from anongames.tdp import ROOT_POWER_BITS   # see test_tdp's twin test
+    assert F(0.6).denominator * (5).bit_length() > ROOT_POWER_BITS
+    with pytest.raises(ValueError, match="alpha denominator .* too large"):
+        discretize_profile(MixedProfile(probs=((F(1, 2), F(1, 2)),)), 5, alpha=0.6)
+
+
+# --- equality gate: the Fraction rounding and fold the integer ones replaced ---
+
+def ref_largest_remainder_round(values, z):
+    vals = [F(v) for v in values]
+    scaled = [v * z for v in vals]
+    floors = [math.floor(x) for x in scaled]
+    fracs = [x - f for x, f in zip(scaled, floors)]
+    bumps = math.floor(sum(fracs) + F(1, 2))
+    out = list(floors)
+    for i in sorted(range(len(vals)), key=lambda i: (-fracs[i], i))[:bumps]:
+        out[i] += 1
+    return [F(c, z) for c in out]
+
+
+def ref_round_cell(trees, z):
+    """trees are (root, leaves) pairs of the reference construction."""
+    rounded = [[None] * len(trees[0][1]) for _ in trees]
+    for j in range(len(trees[0][1])):
+        leaves = [t[1][j] for t in trees]
+        firsts = ref_largest_remainder_round([leaf.probs[0] for leaf in leaves], z)
+        for i, leaf in enumerate(leaves):
+            rounded[i][j] = ((F(1),) if len(leaf.strategies) == 1
+                             else (firsts[i], 1 - firsts[i]))
+    return rounded
+
+
+def ref_discretize(profile, z, alpha):
+    trees, cells, out = {}, {}, [None] * profile.n
+    for i, row in enumerate(profile.probs):
+        support = profile_support(row)
+        if len(support) <= 1:
+            out[i] = tuple(row)
+            continue
+        trees[i] = ref_tree(support, [row[s] for s in support])
+        cells.setdefault(ref_signature(trees[i][0], z, alpha), []).append(i)
+    for members in cells.values():
+        for i, pairs in zip(members, ref_round_cell([trees[i] for i in members], z)):
+            acc = [F(0)] * profile.k
+            for leaf, pair in zip(trees[i][1], pairs):
+                for s, p in zip(leaf.strategies, pair):
+                    acc[s] += F(1, 2 ** leaf.depth) * p
+            out[i] = tuple(acc)
+    return tuple(out)
+
+
+@GATE_SETTINGS
+@given(gate_profiles(max_n=12), GATE_ZS, GATE_ALPHAS)
+def test_discretize_equals_the_fraction_pipeline(profile, z, alpha):
+    assert discretize_profile(profile, z, alpha).probs == ref_discretize(profile, z, alpha)
+
+
+def test_discretize_equals_the_fraction_pipeline_on_random_profiles():
+    for seed, (n, k, den) in enumerate([(20, 3, 1000), (12, 4, 997), (30, 5, 60),
+                                        (16, 2, 7), (40, 3, 12)]):
+        profile = random_profile(n, k, seed=seed, denominator=den)
+        for z in (2, 3, 5, 20, 40):
+            assert (discretize_profile(profile, z).probs
+                    == ref_discretize(profile, z, F(3, 5)))
+
+
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 6, 10, 12, 20, 97, 100, 997, 1000])
+_UNIT_VALUES = _DENOMINATORS.flatmap(
+    lambda d: st.integers(0, d).map(lambda a: F(a, d)))
+
+
+@GATE_SETTINGS
+@given(st.lists(_UNIT_VALUES, max_size=12).flatmap(
+           # repeated values tie in probability and in remainder
+           lambda vs: st.lists(st.sampled_from(vs), max_size=12) if vs else st.just([])),
+       st.sampled_from([1, 2, 3, 4, 5, 7, 10, 20, 40]))
+def test_largest_remainder_equals_the_fraction_rounding(values, z):
+    assert largest_remainder_round(values, z) == ref_largest_remainder_round(values, z)
+
+
+@GATE_SETTINGS
+@given(gate_profiles(max_n=6), GATE_ZS, GATE_ALPHAS)
+def test_round_cell_equals_the_fraction_rounding(profile, z, alpha):
+    # every row on its own, then all rows of one cell together
+    by_cell = {}
+    for row in profile.probs:
+        support = profile_support(row)
+        probs = [row[s] for s in support]
+        tree, ref = build_tdp_tree(support, probs), ref_tree(support, probs)
+        assert round_cell([tree], z) == ref_round_cell([ref], z)
+        if len(support) >= 2:
+            by_cell.setdefault(ref_signature(ref[0], z, alpha), []).append((tree, ref))
+    for group in by_cell.values():
+        assert (round_cell([t for t, _ in group], z)
+                == ref_round_cell([r for _, r in group], z))

@@ -1,15 +1,17 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anongames import TdpStructureError
+from anongames import MixedProfile, TdpStructureError
 from anongames.tdp import (build_tdp_tree, cell_signature, classify_leaf,
                            floor_root_power, format_tree, iter_nodes,
                            node_ordering_ok, reconstruct_distribution,
                            sample_strategy, tree_shape_key)
+from anongames.games import profile_support
 
 ALPHA = F(3, 5)
 
@@ -188,3 +190,169 @@ def test_split_uniqueness_guard_is_quiet_on_valid_inputs(weights):
         pytest.fail(f"uniqueness violated: {exc}")
     assert reconstruct_distribution(t) == dict(enumerate(probs))
     assert all(node_ordering_ok(node) for node in iter_nodes(t))
+
+
+def test_nodes_keep_integer_numerators_over_the_row_denominator():
+    t = build_tdp_tree([1, 2, 3], [F(3, 10), F(4, 10), F(3, 10)])
+    assert t.root.nums == (3, 4, 3) and t.root.den == 10
+    for node in iter_nodes(t):
+        assert node.den == 10 and sum(node.nums) == 10
+        assert node.probs == tuple(F(a, 10) for a in node.nums)
+    # the row's denominator is the lcm of its entries' denominators
+    assert build_tdp_tree([0, 1, 2], [F(1, 6), F(1, 2), F(1, 3)]).root.den == 6
+
+
+def test_floor_root_power_refuses_a_huge_alpha_denominator():
+    # imported here so that, without the size check, the test stops at the
+    # import instead of starting a power with ~10**16 bits
+    from anongames.tdp import ROOT_POWER_BITS
+    alpha = F(0.6)              # the float's exact value: denominator 2**53
+    assert alpha.denominator * (5).bit_length() > ROOT_POWER_BITS
+    with pytest.raises(ValueError, match="alpha denominator .* too large"):
+        floor_root_power(5, alpha)
+    # a denominator within the cap still gets the exact floor
+    p, q = 1000, 1001
+    t = floor_root_power(1000, F(p, q))
+    assert t ** q <= 1000 ** p < (t + 1) ** q
+
+
+# --- equality gate: the Fraction construction the integer trees replaced ----
+
+@dataclass(frozen=True)
+class RefNode:
+    strategies: tuple
+    probs: tuple
+    depth: int
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+
+def ref_order_support(strategies, probs):
+    items = sorted(zip(strategies, probs))
+    if len(items) == 1:
+        return (items[0][0],), (items[0][1],)
+    max_p = max(p for _, p in items)
+    second = min(s for s, p in items if p == max_p)
+    rest = sorted(((s, p) for s, p in items if s != second), key=lambda t: (t[1], t[0]))
+    ordered = [rest[0]] + [(second, max_p)] + rest[1:]
+    return tuple(s for s, _ in ordered), tuple(p for _, p in ordered)
+
+
+def ref_split_index(probs):
+    prefix, total, hits = F(0), sum(probs), []
+    for ell in range(1, len(probs)):
+        suffix = total - prefix - probs[ell - 1]
+        if prefix <= F(1, 2) and suffix < F(1, 2):
+            hits.append(ell)
+        prefix += probs[ell - 1]
+    assert len(hits) == 1, (probs, hits)
+    return hits[0]
+
+
+def ref_build(strategies, probs, depth, leaves):
+    strategies, probs = ref_order_support(strategies, probs)
+    if len(strategies) <= 2:
+        node = RefNode(strategies, probs, depth)
+        leaves.append(node)
+        return node
+    ell = ref_split_index(probs)
+    left_items = [(strategies[j], 2 * probs[j]) for j in range(ell - 1)]
+    t = 1 - sum(p for _, p in left_items)
+    if t != 0:
+        left_items.append((strategies[ell - 1], t))
+    right_rest = [(strategies[j], 2 * probs[j]) for j in range(ell, len(strategies))]
+    right_items = [(strategies[ell - 1], 1 - sum(p for _, p in right_rest))] + right_rest
+    left = ref_build([s for s, _ in left_items], [p for _, p in left_items],
+                     depth + 1, leaves)
+    right = ref_build([s for s, _ in right_items], [p for _, p in right_items],
+                      depth + 1, leaves)
+    return RefNode(strategies, probs, depth, left, right)
+
+
+def ref_tree(strategies, probs):
+    """(root, preorder leaves) of the Fraction construction."""
+    leaves = []
+    root = ref_build(list(strategies), [F(p) for p in probs], 0, leaves)
+    return root, leaves
+
+
+def ref_leaf_type(leaf, z, alpha):
+    return "A" if leaf.probs[0] <= F(floor_root_power(z, alpha), z) else "B"
+
+
+def ref_signature(node, z, alpha):
+    if node.left is None:
+        return ("L", node.strategies, ref_leaf_type(node, z, alpha))
+    return ("N", node.strategies, ref_signature(node.left, z, alpha),
+            ref_signature(node.right, z, alpha))
+
+
+def ref_format(node, z=None, alpha=None, lines=None):
+    lines = [] if lines is None else lines
+    body = ", ".join(f"{s}:{p}" for s, p in zip(node.strategies, node.probs))
+    tag = "node"
+    if node.left is None:
+        tag = "leaf"
+        if z is not None and len(node.strategies) == 2:
+            tag += f"[{ref_leaf_type(node, z, alpha)}]"
+    lines.append(f"{'  ' * node.depth}{tag} depth={node.depth} ({body})")
+    if node.left is not None:
+        ref_format(node.left, z, alpha, lines)
+        ref_format(node.right, z, alpha, lines)
+    return "\n".join(lines) + "\n"
+
+
+def ref_reconstruct(leaves):
+    acc = {}
+    for leaf in leaves:
+        for s, p in zip(leaf.strategies, leaf.probs):
+            acc[s] = acc.get(s, F(0)) + F(1, 2 ** leaf.depth) * p
+    return acc
+
+
+def _row_from_weights(weights):
+    total = sum(weights)
+    return tuple(F(w, total) for w in weights)
+
+
+# rows drawn as a template scaled by c plus per-entry noise: similar rows
+# over different denominators, so they share cells; small weights give
+# ties in probability and split prefixes of exactly 1/2, zeros drop out
+@st.composite
+def gate_profiles(draw, max_n=8):
+    k = draw(st.integers(1, 6))
+    templates = draw(st.lists(st.lists(st.integers(0, 12), min_size=k, max_size=k),
+                              min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, max_n))):
+        base = draw(st.sampled_from(templates))
+        scale = draw(st.sampled_from([1, 1, 2, 3, 7, 50, 997]))
+        noise = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        weights = [b * scale + (e if draw(st.booleans()) else 0)
+                   for b, e in zip(base, noise)]
+        if sum(weights) == 0:
+            weights[0] = 1
+        rows.append(_row_from_weights(weights))
+    return MixedProfile(probs=tuple(rows))
+
+
+GATE_ZS = st.sampled_from([2, 3, 4, 5, 10, 20, 40])
+GATE_ALPHAS = st.sampled_from([F(3, 5), F(1, 2), F(1, 3), F(9, 10)])
+GATE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+
+
+@GATE_SETTINGS
+@given(gate_profiles(), GATE_ZS, GATE_ALPHAS)
+def test_integer_trees_equal_the_fraction_construction(profile, z, alpha):
+    for row in profile.probs:
+        support = profile_support(row)
+        probs = [row[s] for s in support]
+        tree = build_tdp_tree(support, probs)
+        root, leaves = ref_tree(support, probs)
+        assert format_tree(tree) == ref_format(root)
+        assert reconstruct_distribution(tree) == ref_reconstruct(leaves)
+        assert [leaf.probs for leaf in tree.leaves] == [leaf.probs for leaf in leaves]
+        if len(support) >= 2:
+            assert format_tree(tree, z=z, alpha=alpha) == ref_format(root, z, alpha)
+            assert cell_signature(tree, z, alpha) == ref_signature(root, z, alpha)
