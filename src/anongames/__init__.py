@@ -18,8 +18,8 @@ from .solver import (OracleResult, QuantizedStrategySet, SolveResult,
                      enumerate_quantized_strategies, enumerate_theta,
                      max_flow_assign, ptas_solve, solve_escalating)
 from .sumdist import (RegretReport, SumDistribution, leave_one_out,
-                      payoff_rows, poisson_binomial_pmf, regret_profile,
-                      sum_distribution, tv_distance)
+                      poisson_binomial_pmf, regret_profile, sum_distribution,
+                      tv_distance)
 from .tdp import (TdpNode, TdpTree, build_tdp_tree, cell_signature,
                   classify_leaf, floor_root_power, format_tree,
                   reconstruct_distribution, sample_strategy)

@@ -18,7 +18,7 @@ from typing import Sequence
 from .discretize import largest_remainder_round
 from .errors import GameFormatError
 from .games import (_dump_json, _frac_str, _load_json, as_fraction,
-                    enumerate_partitions, require_int)
+                    enumerate_partitions, partition_count, require_int)
 from .guards import check_guard
 
 EXACT_NE_TOL = Fraction(1, 10 ** 9)
@@ -72,29 +72,17 @@ def serialize_nf_game(game: NormalFormGame) -> bytes:
                        "utilities": [[_frac_str(v) for v in row] for row in game.utilities]})
 
 
-def expected_payoffs(game: NormalFormGame, profile: Sequence[Sequence]) -> list:
+def expected_payoffs(game: NormalFormGame, rows: Sequence[Sequence[Fraction]]) -> list:
     """payoffs[i][j]: exact expected utility of player i for pure strategy
-    j against the others' mixed strategies, by full tensor contraction."""
-    rows = [tuple(as_fraction(v) for v in r) for r in profile]
-    if len(rows) != game.p or any(len(r) != game.s for r in rows):
-        raise ValueError("profile dimensions disagree with the game")
-    out = []
-    for i in range(game.p):
-        per_strategy = [Fraction(0)] * game.s
-        others = [q for q in range(game.p) if q != i]
-        for combo in product(range(game.s), repeat=game.p - 1):
-            prob = Fraction(1)
-            for q, a in zip(others, combo):
-                prob *= rows[q][a]
-            if prob == 0:
-                continue
-            actions = [0] * game.p
-            for q, a in zip(others, combo):
-                actions[q] = a
-            for j in range(game.s):
-                actions[i] = j
-                per_strategy[j] += prob * game.utility(i, actions)
-        out.append(per_strategy)
+    j against the others' mixed strategies `rows` (exact, one per player,
+    of length s), by one pass over the pure profiles in rank order."""
+    out = [[Fraction(0)] * game.s for _ in range(game.p)]
+    for actions, *utils in zip(product(range(game.s), repeat=game.p), *game.utilities):
+        probs = [row[a] for row, a in zip(rows, actions)]
+        for i, u in enumerate(utils):
+            others = probs[:i] + probs[i + 1:]
+            if u and all(others):
+                out[i][actions[i]] += math.prod(others, start=u)
     return out
 
 
@@ -110,6 +98,8 @@ class NfRegretReport:
 
 def nf_regret(game: NormalFormGame, profile: Sequence[Sequence]) -> NfRegretReport:
     rows = [tuple(as_fraction(v) for v in r) for r in profile]
+    if len(rows) != game.p or any(len(r) != game.s for r in rows):
+        raise ValueError("profile dimensions disagree with the game")
     payoffs = expected_payoffs(game, rows)
     regret = []
     for i in range(game.p):
@@ -150,10 +140,9 @@ def quasi_solve(game: NormalFormGame, epsilon) -> QuasiResult:
     """
     epsilon = as_fraction(epsilon)
     delta, units = grid_delta(game, epsilon)
-    per_player = enumerate_partitions(units, game.s)
-    check_guard(len(per_player) ** game.p,
-                f"quasi grid of {len(per_player)}^{game.p} profiles")
-    for combo in product(per_player, repeat=game.p):
+    count = partition_count(units, game.s)
+    check_guard(count ** game.p, f"quasi grid of {count}^{game.p} profiles")
+    for combo in product(enumerate_partitions(units, game.s), repeat=game.p):
         rows = tuple(tuple(Fraction(c, units) for c in comp) for comp in combo)
         report = nf_regret(game, rows)
         if report.max_regret <= epsilon:

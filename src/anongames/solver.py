@@ -13,7 +13,10 @@ Whether a player may take sigma under split theta depends only on the
 opponents' split theta - e_sigma (n-1 players), so one search computes
 each player's best-response bitmask against each such split once, and
 rejects a split before any flow when some sigma has fewer willing players
-than theta puts on it.
+than theta puts on it.  The search holds the grid in one form, the integer
+compositions of 2^k z that it enumerates, and folds opponents' splits from
+them with the lattice kernel directly; `Fraction` rows are built only for
+the profile it returns.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .games import (AnonymousGame, MixedProfile, as_fraction,
                     enumerate_partitions, iter_partitions, partition_count,
                     partition_rank)
 from .guards import check_guard
-from .sumdist import _payoff_numerators, regret_profile, sum_distribution
+from .sumdist import _fold, _payoff_numerators, regret_profile, sum_distribution
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,11 @@ def _strategy_count(k: int, z: int) -> int:
     return count
 
 
-def _quantized_grid(k: int, z: int) -> QuantizedStrategySet:
-    """The 1/(2^k z) grid, built without a guard: callers check its size
-    with _strategy_count first."""
-    grid = (2 ** k) * z
-    strategies = tuple(tuple(Fraction(c, grid) for c in comp)
-                       for comp in enumerate_partitions(grid, k))
-    return QuantizedStrategySet(k=k, z=z, strategies=strategies)
-
-
 def enumerate_quantized_strategies(k: int, z: int) -> QuantizedStrategySet:
     _strategy_count(k, z)
-    return _quantized_grid(k, z)
+    units = (2 ** k) * z
+    return QuantizedStrategySet(k=k, z=z, strategies=tuple(
+        tuple(Fraction(c, units) for c in comp) for comp in enumerate_partitions(units, k)))
 
 
 def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
@@ -79,27 +75,24 @@ def enumerate_theta(n: int, num_strategies: int) -> Iterator[tuple[int, ...]]:
     return iter_partitions(n, num_strategies)
 
 
-def _support_masks(strat_set: QuantizedStrategySet) -> list[int]:
-    """supports[sigma]: the bitmask of the pure strategies sigma plays."""
-    return [sum(1 << s for s, v in enumerate(sigma) if v > 0)
-            for sigma in strat_set.strategies]
+def _support_masks(rows: Sequence[Sequence]) -> list[int]:
+    """supports[sigma]: the bitmask of the pure strategies row sigma plays."""
+    return [sum(1 << s for s, v in enumerate(sigma) if v > 0) for sigma in rows]
 
 
-def _response_masks(game: AnonymousGame, strat_set: QuantizedStrategySet,
-                    opponents: tuple[int, ...], delta: Fraction) -> tuple[int, ...]:
+def _response_masks(game: AnonymousGame, counts: Sequence[int], den: int,
+                    delta: Fraction) -> tuple[int, ...]:
     """B_p for every player p: the bitmask of p's pure strategies within
-    delta (non-strict) of p's best pure response when the other n-1 players
-    play the quantized strategies `opponents`, an ascending tuple of
-    strategy indices (the split theta - e_sigma as a multiset).
+    delta (non-strict) of p's best pure response when the other n-1
+    players' partition has law counts / den (in lowest terms or not).
 
     With payoffs v_s / scale and delta = a / b, the test v_s >= max(v) - delta
-    is the integer cross-multiplication v_s * b >= max(v) * b - a * scale."""
-    rows = [strat_set.strategies[tau] for tau in opponents]
-    dist = sum_distribution(rows, k=game.k)
+    is the integer cross-multiplication v_s * b >= max(v) * b - a * scale,
+    which scaling counts and den alike leaves unchanged."""
     a, b = delta.numerator, delta.denominator
     masks = []
     for p in range(game.n):
-        nums, scale = _payoff_numerators(game, dist, p)
+        nums, scale = _payoff_numerators(game, counts, den, p)
         cut = max(nums) * b - a * scale
         masks.append(sum(1 << s for s, v in enumerate(nums) if v * b >= cut))
     return tuple(masks)
@@ -139,10 +132,13 @@ def best_response_edges(game: AnonymousGame, strat_set: QuantizedStrategySet,
     if sum(theta) != game.n:
         raise ValueError("theta must split exactly n players")
     delta = as_fraction(delta)
-    return _edge_lists(
-        theta, _support_masks(strat_set),
-        lambda opponents: _response_masks(game, strat_set, opponents, delta),
-        game.n, prune=False)
+    rows = strat_set.strategies
+
+    def masks_of(opponents):
+        dist = sum_distribution([rows[tau] for tau in opponents], k=game.k)
+        return _response_masks(game, dist.counts, dist.den, delta)
+
+    return _edge_lists(theta, _support_masks(rows), masks_of, game.n, prune=False)
 
 
 def max_flow_assign(edges: Sequence[Sequence[int]], theta: Sequence[int],
@@ -229,7 +225,8 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
     The edge test for (theta, sigma) depends only on the opponents' split
     theta - e_sigma, so each player's best-response bitmask against such a
     split is computed once per call and kept in a memo that lives only for
-    this call.  A split is rejected without a flow as soon as some sigma
+    this call, folded from the grid's integer compositions over the scale
+    (2^k z)^(n-1).  A split is rejected without a flow as soon as some sigma
     has fewer than theta[sigma] players that may take it.
     """
     epsilon = as_fraction(epsilon)
@@ -238,15 +235,17 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
     # both guards run once, before the grid is built: the split count is
     # known from |S| alone, and the grid can hold up to 10^7 strategies
     splits = enumerate_theta(game.n, _strategy_count(game.k, z))
-    strat_set = _quantized_grid(game.k, z)
-    supports = _support_masks(strat_set)
+    units = (2 ** game.k) * z
+    grid = enumerate_partitions(units, game.k)
+    den = units ** (game.n - 1)
+    supports = _support_masks(grid)
     memo: dict[tuple, tuple] = {}
 
     def masks_of(opponents):
         masks = memo.get(opponents)
         if masks is None:
-            masks = memo[opponents] = _response_masks(game, strat_set, opponents,
-                                                      epsilon)
+            counts = _fold([grid[tau] for tau in opponents], game.k)
+            masks = memo[opponents] = _response_masks(game, counts, den, epsilon)
         return masks
 
     for idx, theta in enumerate(splits):
@@ -256,7 +255,8 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
         assignment = max_flow_assign(edges, theta, game.n)
         if assignment is None:
             continue
-        profile = MixedProfile(probs=tuple(strat_set.strategies[s] for s in assignment))
+        profile = MixedProfile(probs=tuple(tuple(Fraction(c, units) for c in grid[s])
+                                           for s in assignment))
         report = regret_profile(game, profile)
         if report.max_support_gap > epsilon:
             raise RuntimeError(f"split {theta} has a perfect flow but support gap "
@@ -264,7 +264,7 @@ def ptas_solve(game: AnonymousGame, epsilon, z: int) -> SolveResult:
                                f"happen and indicates a bug")
         return SolveResult(True, profile, report.max_support_gap,
                            report.max_approx_regret, theta, idx + 1, z, epsilon)
-    checked = partition_count(game.n, len(strat_set))
+    checked = partition_count(game.n, len(grid))
     return SolveResult(False, None, None, None, None, checked, z, epsilon)
 
 
@@ -335,12 +335,11 @@ def brute_force_oracle(game: AnonymousGame, grid: int) -> OracleResult:
     """Scan every profile with entries on the 1/grid grid and return the
     minimum exact support gap.  Only for tiny games; the candidate count
     is capped at 10^7."""
-    per_player = enumerate_partitions(grid, game.k)
-    total = len(per_player) ** game.n
+    total = partition_count(grid, game.k) ** game.n
     check_guard(total, f"brute-force grid of {total} profiles")
     best_gap = None
     best_rows = None
-    for combo in product(per_player, repeat=game.n):
+    for combo in product(enumerate_partitions(grid, game.k), repeat=game.n):
         rows = tuple(tuple(Fraction(c, grid) for c in comp) for comp in combo)
         gap = _direct_support_gap(game, rows)
         if best_gap is None or gap < best_gap:

@@ -8,7 +8,9 @@ as integer numerators over the lcm d_i of its denominators (float inputs
 are promoted to their exact dyadic values first), and the fold multiplies
 and adds those integers over the one denominator d_1 * ... * d_n.  The
 finished law is kept in that form, as integer counts over one denominator
-in lowest terms.  Expected payoffs contract the counts directly with each
+in lowest terms.  The fold itself (`_fold`) takes integer rows: those of
+`sum_distribution` after its checks, or the solver's grid compositions of
+2^k z as they are.  Expected payoffs contract the counts directly with each
 player's integer utility table (`AnonymousGame.tables`); callers
 that want floats (the total-variation experiments) read
 `SumDistribution.floats`, and `SumDistribution.mass` gives the exact
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GameFormatError
 from .games import (AnonymousGame, MixedProfile, as_fraction,
@@ -103,6 +105,21 @@ def _successors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
                  for ell in range(k))
 
 
+def _fold(rows: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The fold of `sum_distribution` on unchecked integer rows: with row i
+    as numerators over its own scale d_i, cell r has mass counts[r] / prod
+    d_i, in lowest terms only when each row's numerators are coprime."""
+    counts = [1]
+    for m, ints in enumerate(rows):
+        nxt = [0] * partition_count(m + 1, k)
+        for succ, a in zip(_successors(m, k), ints):
+            if a:
+                for r, c in zip(succ, counts):
+                    nxt[r] += c * a
+        counts = nxt
+    return counts
+
+
 def sum_distribution(vectors: Sequence[Sequence],
                      k: int | None = None) -> SumDistribution:
     """Exact law of the sum of independent unit vectors.
@@ -126,18 +143,9 @@ def sum_distribution(vectors: Sequence[Sequence],
     if any(len(v) != k for v in vectors):
         raise ValueError("all vectors must have length k")
 
-    counts = [1]
-    den = 1
-    for m, vec in enumerate(vectors):
-        d, ints = _check_vector(vec)
-        nxt = [0] * partition_count(m + 1, k)
-        for succ, a in zip(_successors(m, k), ints):
-            if a:
-                for r, c in zip(succ, counts):
-                    nxt[r] += c * a
-        counts = nxt
-        den *= d
-
+    checked = [_check_vector(vec) for vec in vectors]
+    counts = _fold([ints for _, ints in checked], k)
+    den = math.prod(d for d, _ in checked)
     # Lowest terms already: each row's numerators are coprime (d is the lcm
     # of reduced denominators), and the counts are the coefficients of the
     # product of the rows' linear forms, so by Gauss's lemma they are too.
@@ -250,34 +258,15 @@ def poisson_binomial_pmf(probs: Sequence) -> tuple:
     return sum_distribution([(p, 1 - p) for p in ps], k=2).mass
 
 
-def _payoff_numerators(game: AnonymousGame, dist: SumDistribution,
+def _payoff_numerators(game: AnonymousGame, counts: Sequence[int], den: int,
                        p: int) -> tuple[list[int], int]:
-    """(nums, scale): player p's expected utility of pure strategy s is
-    nums[s] / scale, with scale = dist.den * L_p for every s, so the
-    payoffs compare as integers.  Each numerator is the integer dot
-    product of p's utility numerators with the law's counts."""
+    """(nums, scale): player p's expected utility of pure strategy s against
+    the opponents' law counts / den on Pi^k_{n-1} is nums[s] / scale, with
+    scale = den * L_p for every s, so the payoffs compare as integers.  Each
+    numerator is the integer dot product of p's utility numerators with the
+    counts."""
     lcm, rows = game.tables[p]
-    counts = dist.counts
-    return [sum(map(mul, row, counts)) for row in rows], dist.den * lcm
-
-
-def payoff_rows(game: AnonymousGame, dist: SumDistribution,
-                players: Iterable[int]) -> list:
-    """rows[j][s]: the exact expected utility E[u^p_s(x)] of pure strategy
-    s for p = players[j] when the opponents' partition x has law `dist`,
-    which must live on Pi^k_{n-1}.
-
-    The contraction runs on integers: the law's counts over its den meet
-    p's integer utility table over its one lcm L_p, and each payoff is
-    one reduced division by den * L_p."""
-    if (dist.m, dist.k) != (game.n - 1, game.k):
-        raise ValueError(f"opponent law on Pi^{dist.k}_{dist.m}, expected "
-                         f"Pi^{game.k}_{game.n - 1}")
-    rows = []
-    for p in players:
-        nums, scale = _payoff_numerators(game, dist, p)
-        rows.append(tuple(Fraction(v, scale) for v in nums))
-    return rows
+    return [sum(map(mul, row, counts)) for row in rows], den * lcm
 
 
 @dataclass(frozen=True)
@@ -318,7 +307,8 @@ def regret_profile(game: AnonymousGame, profile: MixedProfile) -> RegretReport:
     gaps = []
     for p in range(game.n):
         others = [profile.probs[q] for q in range(game.n) if q != p]
-        nums, scale = _payoff_numerators(game, sum_distribution(others, k=game.k), p)
+        dist = sum_distribution(others, k=game.k)
+        nums, scale = _payoff_numerators(game, dist.counts, dist.den, p)
         best = max(nums)
         d, weights = _check_vector(profile.probs[p])
         approx.append(Fraction(best * d - sum(map(mul, weights, nums)), scale * d))

@@ -191,11 +191,21 @@ def floor_root_power(z: int, alpha: Fraction) -> int:
         raise ValueError(f"alpha denominator {q} is too large for an exact "
                          f"floor(z**alpha) at z={z}")
     target = z ** p
-    t = max(int(round(z ** float(alpha))), 0)
-    while t ** q > target:
-        t -= 1
-    while (t + 1) ** q <= target:
-        t += 1
+
+    def newton(t):
+        return ((q - 1) * t + target // t ** (q - 1)) // q
+
+    # seed 2**(alpha * log2 z), from the top bits of z: log2 z < 2**20 (the
+    # bound above), so its float error is under 2**-33 and the margin below
+    # (2**-30 of t, plus 2) puts t above the answer.  From there integer
+    # Newton steps descend onto the answer, quadratically, and stop.
+    e = math.log2(z) * p / q
+    whole = int(e)
+    t = int(2.0 ** (e - whole + 52)) << whole >> 52
+    t += (t >> 30) + 2
+    while (s := newton(t)) < t:
+        t = s
+    assert t ** q <= target < (t + 1) ** q
     return t
 
 

@@ -156,6 +156,18 @@ def test_quasi_subcommand(workdir):
     assert prof.n == 2 and prof.k == 2
 
 
+def test_quasi_refuses_a_huge_grid_before_building_it(workdir, capsys):
+    # 2 players, 4 strategies, eps 1/100: 685,229,601 grid vectors a player
+    game = NormalFormGame(p=2, s=4, utilities=((F(1, 2),) * 16,) * 2)
+    g_path = workdir / "g.json"
+    g_path.write_bytes(serialize_nf_game(game))
+    t0 = time.perf_counter()
+    assert cli.main(["quasi", "--game", str(g_path), "--epsilon", "1/100"]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err.startswith(
+        "error: quasi grid of 685229601^2 profiles has size")
+
+
 def test_solve_uncertified_exits_one(workdir):
     # skewed pennies: the unique equilibrium sits off the coarse grids, so
     # z=1 at a tight epsilon has nothing feasible and must report honestly
@@ -495,6 +507,19 @@ def test_alpha_out_of_range_is_refused_without_a_typed_leaf(workdir, capsys, alp
         assert cli.main([str(a) for a in argv]) == 2, argv
         assert capsys.readouterr() == ("", _ALPHA_RANGE), argv
     assert not out_path.exists()
+
+
+def test_discretize_on_a_401_digit_z(workdir, capsys):
+    # floor(z**alpha) used to seed from a float, which overflows past 1e308
+    z = 10 ** 400
+    prof_path = workdir / "p.json"
+    prof_path.write_bytes(anongames.serialize_profile(anongames.random_profile(8, 3, 0)))
+    out_path = workdir / "out.json"
+    assert cli.main(["discretize", "--profile", str(prof_path), "--z", str(z),
+                     "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = parse_profile(out_path.read_bytes()).probs
+    assert all((v * z).denominator == 1 for row in rows for v in row)
 
 
 def test_alpha_with_a_huge_denominator_is_refused_fast(workdir, capsys):

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anongames import (GameFormatError, GuardExceeded, NormalFormGame,
                        nf_regret, parse_nf_game, perturbation_check,
                        quasi_solve, serialize_nf_game)
+from anongames.normal_form import expected_payoffs
 
 
 def nf_from_payoff_matrix(a, b):
@@ -118,6 +122,56 @@ def test_quasi_guard():
     game = NormalFormGame(p=3, s=3, utilities=tuple((F(0),) * 27 for _ in range(3)))
     with pytest.raises(GuardExceeded):
         quasi_solve(game, F(1, 100))
+
+
+def reference_expected_payoffs(game, rows):
+    """The per-player contraction the one-pass walk replaced: for each
+    player, every pure profile of the others, then each own strategy."""
+    out = []
+    for i in range(game.p):
+        per_strategy = [F(0)] * game.s
+        others = [q for q in range(game.p) if q != i]
+        for combo in product(range(game.s), repeat=game.p - 1):
+            prob = F(1)
+            for q, a in zip(others, combo):
+                prob *= rows[q][a]
+            if prob == 0:
+                continue
+            actions = [0] * game.p
+            for q, a in zip(others, combo):
+                actions[q] = a
+            for j in range(game.s):
+                actions[i] = j
+                per_strategy[j] += prob * game.utility(i, actions)
+        out.append(per_strategy)
+    return out
+
+
+def _rational_row(s):
+    weights = st.lists(st.integers(0, 12), min_size=s, max_size=s).filter(any)
+    return weights.map(lambda w: tuple(F(x, sum(w)) for x in w))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda ps: st.tuples(
+        st.lists(st.lists(st.fractions(0, 1, max_denominator=30),
+                          min_size=ps[1] ** ps[0], max_size=ps[1] ** ps[0]),
+                 min_size=ps[0], max_size=ps[0]).map(
+            lambda u: NormalFormGame(p=ps[0], s=ps[1], utilities=u)),
+        st.lists(_rational_row(ps[1]), min_size=ps[0], max_size=ps[0]))))
+def test_one_pass_payoffs_match_the_per_player_contraction(case):
+    game, rows = case
+    assert expected_payoffs(game, rows) == reference_expected_payoffs(game, rows)
+    report = nf_regret(game, rows)
+    assert report.payoffs == tuple(map(tuple, reference_expected_payoffs(game, rows)))
+
+
+def test_nf_regret_rejects_a_misshapen_profile():
+    game = matching_pennies()
+    for rows in ([(F(1), F(0))], [(F(1), F(0))] * 3, [(F(1),), (F(1),)]):
+        with pytest.raises(ValueError, match="profile dimensions"):
+            nf_regret(game, rows)
 
 
 def test_perturbation_matching_pennies():

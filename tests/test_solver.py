@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from anongames.solver import (SolveResult, best_response_edges,
                               brute_force_oracle, enumerate_quantized_strategies,
                               enumerate_theta, max_flow_assign, ptas_solve,
                               solve_escalating)
+from anongames.sumdist import _check_vector, _fold
 from tests.test_sumdist import (_game, anti_coordination, constant_game,
                                 reference_payoff_rows)
 
@@ -290,15 +292,30 @@ def test_search_folds_each_opponent_split_at_most_once(monkeypatch):
     # = 35 folds, against one per (theta, sigma in supp theta) per split
     folds = Counter()
 
-    def counted(vectors, k=None):
-        folds[tuple(sorted(map(tuple, vectors)))] += 1
-        return sum_distribution(vectors, k=k)
+    def counted(rows, k):
+        folds[tuple(sorted(map(tuple, rows)))] += 1
+        return _fold(rows, k)
 
-    monkeypatch.setattr("anongames.solver.sum_distribution", counted)
+    monkeypatch.setattr("anongames.solver._fold", counted)
     res = ptas_solve(random_game(4, 2, seed=1), F(1, 10 ** 6), z=1)
     assert not res.certified and res.thetas_checked == 70
     assert 0 < sum(folds.values()) <= partition_count(3, 5) == 35
     assert max(folds.values()) == 1
+
+
+def test_search_folds_grid_compositions_without_checking_rows(monkeypatch):
+    # the grid rows are the integer compositions of 2^k z the search
+    # enumerates, so no row goes through the Fraction check on the way in
+    calls = Counter()
+
+    def counted(vec):
+        calls[tuple(vec)] += 1
+        return _check_vector(vec)
+
+    monkeypatch.setattr("anongames.sumdist._check_vector", counted)
+    res = ptas_solve(random_game(4, 2, seed=1), F(1, 10 ** 6), z=1)
+    assert not res.certified and res.thetas_checked == 70
+    assert sum(calls.values()) == 0
 
 
 def test_ptas_certifies_or_exhausts_with_no_profile():
@@ -359,6 +376,18 @@ def test_brute_force_oracle_anti_coordination():
 def test_brute_force_oracle_constant():
     res = brute_force_oracle(constant_game(2, 2, F(1, 3)), 4)
     assert res.support_gap == 0
+
+
+def test_brute_force_oracle_guard_fires_before_the_grid_is_built(monkeypatch):
+    # 300 units over 4 strategies is 4,545,901 rows, squared 2.07e13 profiles
+    def unbuilt(*args):
+        raise AssertionError("the per-player grid was built before the guard")
+
+    monkeypatch.setattr("anongames.solver.enumerate_partitions", unbuilt)
+    t0 = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="brute-force grid"):
+        brute_force_oracle(random_game(2, 4, 0), 300)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_oracle_vs_ptas_cross_check():

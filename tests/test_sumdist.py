@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anongames import (AnonymousGame, MixedProfile, RegretReport,
-                       SumDistribution, leave_one_out, payoff_rows,
-                       random_profile, regret_profile, sum_distribution,
-                       tv_distance)
+                       SumDistribution, leave_one_out, random_profile,
+                       regret_profile, sum_distribution, tv_distance)
 from anongames.games import as_fraction, enumerate_partitions, partition_count
 from anongames.solver import _direct_support_gap
+from anongames.sumdist import _fold, _payoff_numerators
 from anongames.tdp import floor_root_power
 from anongames.tvlab import (_poisson_pmf_truncated, _tv_aligned,
                              poisson_binomial_pmf, poisson_tv_check)
@@ -151,11 +151,23 @@ def test_tv_symmetry_and_triangle():
     assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c)
 
 
+def payoffs(game, dist, players):
+    """The payoff rows of `players` against the opponents' law `dist`, read
+    as Fractions off the integer numerators."""
+    rows = []
+    for p in players:
+        nums, scale = _payoff_numerators(game, dist.counts, dist.den, p)
+        rows.append(tuple(F(v, scale) for v in nums))
+    return rows
+
+
 def test_expected_utility_anti_coordination():
     game = anti_coordination()
-    assert payoff_rows(game, sum_distribution([(F(0), F(1))]), [0]) == [(1, 0)]
+    pure = sum_distribution([(F(0), F(1))])
+    assert payoffs(game, pure, [0]) == reference_payoff_rows(game, pure, [0]) == [(1, 0)]
     half = sum_distribution([(F(1, 2), F(1, 2))])
-    assert payoff_rows(game, half, [0, 1]) == [(F(1, 2), F(1, 2))] * 2
+    assert (payoffs(game, half, [0, 1]) == reference_payoff_rows(game, half, [0, 1])
+            == [(F(1, 2), F(1, 2))] * 2)
 
 
 def test_expected_utility_constant_game():
@@ -163,16 +175,8 @@ def test_expected_utility_constant_game():
     for seed in range(3):
         prof = random_profile(2, 2, seed=seed)
         dist = sum_distribution(prof.probs)
-        assert payoff_rows(game, dist, range(3)) == [(F(2, 5), F(2, 5))] * 3
-
-
-def test_expected_utility_wrong_arity():
-    # the opponents' law must live on Pi^k_{n-1}
-    game = anti_coordination()
-    with pytest.raises(ValueError):
-        payoff_rows(game, sum_distribution([], k=2), [0])
-    with pytest.raises(ValueError):
-        payoff_rows(game, sum_distribution([(F(1), F(0), F(0))]), [0])
+        assert (payoffs(game, dist, range(3)) == reference_payoff_rows(game, dist, range(3))
+                == [(F(2, 5), F(2, 5))] * 3)
 
 
 def test_regret_anti_coordination_mixed():
@@ -275,6 +279,24 @@ def test_integer_fold_matches_fraction_fold(case):
     assert sum_distribution(rows, k=k).mass == reference_sum_distribution(rows, k)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(2, 4), st.integers(0, 9)).flatmap(
+    lambda kn: st.tuples(st.just(kn[0]), st.lists(
+        st.sampled_from((1, 4, 6, 16, 160, 999983, 2 ** 61 - 1)).flatmap(
+            lambda d: st.tuples(st.just(d), _composition(d, kn[0]))),
+        min_size=kn[1], max_size=kn[1]))))
+def test_fold_of_compositions_matches_the_checked_fold(case):
+    # integer compositions, unreduced ones (2, 2) over 4 included, against
+    # the same rows as Fractions: the counts agree once both are scaled to
+    # one denominator
+    k, rows = case
+    counts = _fold([c for _, c in rows], k)
+    scale = math.prod(d for d, _ in rows)
+    dist = sum_distribution([tuple(F(x, d) for x in c) for d, c in rows], k=k)
+    assert sum(counts) == scale
+    assert [c * dist.den for c in counts] == [c * scale for c in dist.counts]
+
+
 def reference_regret_profile(game, rows):
     """Payoffs and both regrets by Fraction arithmetic on the Fraction fold."""
     payoffs, approx, gaps = [], [], []
@@ -300,7 +322,7 @@ def test_integer_payoffs_match_fraction_contraction_and_oracle(case):
     game, rows = case
     dist = sum_distribution(rows[1:], k=game.k)
     players = range(game.n)
-    assert payoff_rows(game, dist, players) == reference_payoff_rows(game, dist, players)
+    assert payoffs(game, dist, players) == reference_payoff_rows(game, dist, players)
     report = regret_profile(game, MixedProfile(probs=tuple(rows)))
     assert report == reference_regret_profile(game, rows)
     assert report.max_support_gap == _direct_support_gap(game, rows)

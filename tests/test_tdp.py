@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -200,6 +201,37 @@ def test_nodes_keep_integer_numerators_over_the_row_denominator():
         assert node.probs == tuple(F(a, 10) for a in node.nums)
     # the row's denominator is the lcm of its entries' denominators
     assert build_tdp_tree([0, 1, 2], [F(1, 6), F(1, 2), F(1, 3)]).root.den == 6
+
+
+def reference_floor_root_power(z, alpha):
+    """The float-seeded walk the integer Newton seed replaced."""
+    p, q = alpha.numerator, alpha.denominator
+    target = z ** p
+    t = max(int(round(z ** float(alpha))), 0)
+    while t ** q > target:
+        t -= 1
+    while (t + 1) ** q <= target:
+        t += 1
+    return t
+
+
+def test_floor_root_power_matches_the_float_seeded_walk():
+    for alpha in (F(3, 5), F(1, 2), F(1, 3), F(9, 10)):
+        for z in range(1, 10 ** 4 + 1):
+            assert floor_root_power(z, alpha) == reference_floor_root_power(z, alpha)
+
+
+@pytest.mark.parametrize("z", [10 ** 36, 10 ** 40, 10 ** 400, 2 ** 1024 - 1],
+                         ids=["1e36", "1e40", "1e400", "2^1024-1"])
+def test_floor_root_power_on_a_huge_z_is_fast(z):
+    # the float seed overflowed past 2**1024 and walked one step at a time
+    # across its own error below that: 10**36 took seconds
+    for alpha in (F(3, 5), F(1, 2), F(1, 3), F(9, 10)):
+        t0 = time.perf_counter()
+        t = floor_root_power(z, alpha)
+        assert time.perf_counter() - t0 < 1
+        p, q = alpha.numerator, alpha.denominator
+        assert t ** q <= z ** p < (t + 1) ** q
 
 
 def test_floor_root_power_refuses_a_huge_alpha_denominator():
