@@ -14,16 +14,16 @@ in lowest terms.  The fold itself (`_fold`) takes integer rows: those of
 player's integer utility table (`AnonymousGame.tables`); callers
 that want floats (the total-variation experiments) read
 `SumDistribution.floats`, and `SumDistribution.mass` gives the exact
-`Fraction`s.
+`Fraction`s.  The fold's one-row step y -> y + e_l reads one successor
+table per level (`_successors`), built by rank arithmetic and cached up to
+TABLE_BUDGET entries.
 
 A leave-one-out law, the law of every row but one, comes from the full
-law by exact division (`leave_one_out`): the full counts are the product
-of the quotient's counts with the dropped row's numerators, so
-back-substitution on the integer counts recovers the quotient, which is
-the fold of the other rows, with the same counts over the same
-denominator.  Every division and every cell the back-substitution does
-not read are checked, so a row that is not a factor raises ValueError
-instead of yielding a law.
+law by exact division (`leave_one_out`): the fold's one-row step run
+backwards over the same successor table.  The quotient is the fold of the
+other rows, with the same counts over the same denominator.  Every
+division and every cell it does not divide are checked, so a row that is
+not a factor raises ValueError instead of yielding a law.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -96,13 +96,46 @@ def _check_vector(vec) -> tuple[int, list[int]]:
     return d, ints
 
 
-@lru_cache(maxsize=None)
+TABLE_BUDGET = 1 << 17   # successor-table entries cached; larger tables are built per call
+_tables: dict = {}
+_table_entries = 0
+
+
 def _successors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """succ[l][r]: the rank in Pi^k_{m+1} of partition r of Pi^k_m plus e_l."""
-    rank = {part: r for r, part in enumerate(enumerate_partitions(m + 1, k))}
-    return tuple(tuple(rank[part[:ell] + (part[ell] + 1,) + part[ell + 1:]]
-                       for part in enumerate_partitions(m, k))
-                 for ell in range(k))
+    """succ[l][r]: the rank in Pi^k_{m+1} of partition r of Pi^k_m plus e_l.
+
+    The only lattice table, built by rank arithmetic: the cells sharing
+    their first i coordinates (an i-block) are |Pi^{k-i}_{r_i}| consecutive
+    ranks, r_i = m minus the prefix sum, and succ[l][r] - r is
+    |Pi^{k-1}_{m+1}| minus the sizes of r's i-blocks for i = 1..l.  So
+    succ[l] is one range per l-block, and succ[k-1] = succ[k-2] - 1.  The
+    blocks of each level are expanded from the previous level's, with no
+    recursion, in time linear in the table.
+    """
+    global _table_entries
+    tables = _tables.get((m, k))
+    if tables:
+        return tables
+    if k == 1:
+        return ((0,),)
+    blocks = [(partition_count(m + 1, k - 1), m)]   # (succ[l] of first cell, r) per l-block
+    tables = []
+    for w in range(k, 1, -1):
+        size = [partition_count(r, w) for r in range(m + 1)]
+        if w < k:
+            nxt = []
+            for t, r in blocks:
+                for rr in range(r, -1, -1):
+                    nxt.append((t - size[rr], rr))
+                    t += size[rr]
+            blocks = nxt
+        tables.append(tuple(chain.from_iterable(range(t, t + size[r]) for t, r in blocks)))
+    tables.append(tuple(chain.from_iterable(range(t - 1, t + r) for t, r in blocks)))
+    tables = tuple(tables)
+    if _table_entries + k * len(tables[0]) <= TABLE_BUDGET:
+        _tables[m, k] = tables
+        _table_entries += k * len(tables[0])
+    return tables
 
 
 def _fold(rows: Sequence[Sequence[int]], k: int) -> list[int]:
@@ -153,56 +186,24 @@ def sum_distribution(vectors: Sequence[Sequence],
     return SumDistribution(m=len(vectors), k=k, counts=tuple(counts), den=den)
 
 
-@lru_cache(maxsize=None)
-def _division_plan(m: int, k: int, l0: int) -> tuple:
-    """Back-substitution schedule for dividing a law on Pi^k_m by one row.
-
-    One entry per level s = m, ..., 0 of the cells y of Pi^k_m with
-    y[l0] == s: (ys, xs, terms), where ys are the ranks of those cells,
-    xs the ranks in Pi^k_{m-1} of y - e_l0 (None at s = 0, where no
-    quotient cell is solved for), and terms holds, for each l != l0, the
-    pair (positions within the level with y[l] > 0, ranks of y - e_l).
-    Every y - e_l has l0-coordinate s, so it was solved one level up.
-    """
-    lower = {part: r for r, part in enumerate(enumerate_partitions(m - 1, k))}
-    levels = [[] for _ in range(m + 1)]
-    for r, y in enumerate(enumerate_partitions(m, k)):
-        levels[y[l0]].append((r, y))
-
-    def minus(y, ell):
-        return lower[y[:ell] + (y[ell] - 1,) + y[ell + 1:]]
-
-    plan = []
-    for s in range(m, -1, -1):
-        cells = levels[s]
-        terms = []
-        for ell in range(k):
-            if ell != l0:
-                hit = [(i, minus(y, ell)) for i, (_, y) in enumerate(cells) if y[ell]]
-                terms.append((ell, tuple(i for i, _ in hit), tuple(g for _, g in hit)))
-        plan.append((tuple(r for r, _ in cells),
-                     tuple(minus(y, l0) for _, y in cells) if s else None,
-                     tuple(terms)))
-    return tuple(plan)
-
-
 def leave_one_out(full: SumDistribution, row: Sequence) -> SumDistribution:
     """The law of the other rows, given the law `full` of all of them and
     one of its rows: the exact quotient G of full = G * row.
 
-    With the row as integer numerators a over d, the counts satisfy
-    F[y] = sum_l a_l G[y - e_l].  Fixing l0 with a_l0 > 0 and visiting
-    the cells of F by descending y[l0] solves each G[y - e_l0] from cells
-    already solved, with one exact integer division by a_l0.  The result
-    is the fold of the other rows, with the same counts over the same
-    denominator den / d (in lowest terms by the Gauss's-lemma argument of
-    `sum_distribution`), at the cost of about one row's fold.
+    With the row as integer numerators a over d, F[y] = sum_l a_l
+    G[y - e_l].  With l0 the first l with a_l > 0, the quotient cells x are
+    visited by descending rank: the other terms of F[x + e_l0], from
+    G[x + e_l0 - e_l] with l > l0, rank above x and are already taken off,
+    so G[x] is one exact division by a_l0, and a_l G[x] is then taken off
+    F[x + e_l] for each other l.  The result is the fold of the other rows,
+    with the same counts over the same denominator den / d (in lowest terms
+    by the Gauss's-lemma argument of `sum_distribution`).
 
     The division proves itself: a den that d does not divide, a non-zero
-    remainder, a cell with y[l0] == 0 (never read by the solve) that
-    G * row does not reproduce, or a negative quotient count (an exact
-    factor of a hand-built law need not be a law) raises ValueError, so
-    a row that is not a factor never yields a law.
+    remainder, a cell never divided that G * row does not reproduce, or a
+    negative quotient count (an exact factor of a hand-built law need not
+    be a law) raises ValueError, so a row that is not a factor never
+    yields a law.
     """
     if len(row) != full.k:
         raise ValueError(f"row has length {len(row)}, expected k={full.k}")
@@ -212,28 +213,25 @@ def leave_one_out(full: SumDistribution, row: Sequence) -> SumDistribution:
     if full.den % d:
         raise ValueError("row is not a factor of the law: its denominator "
                          "does not divide the law's")
-    a0 = max(ints)
-    plan = _division_plan(full.m, full.k, ints.index(a0))
-    counts = full.counts
-    quotient = [0] * partition_count(full.m - 1, full.k)
-    for ys, xs, terms in plan:
-        acc = [counts[r] for r in ys]
-        for ell, pos, src in terms:
-            a = ints[ell]
-            if a:
-                for i, g in zip(pos, src):
-                    acc[i] -= a * quotient[g]
-        if xs is None:
-            if any(acc):
-                raise ValueError("row is not a factor of the law: the quotient "
-                                 "misses an unread cell")
-            break
-        for g, v in zip(xs, acc):
-            q, rem = divmod(v, a0)
-            if rem:
-                raise ValueError("row is not a factor of the law: "
-                                 "a division leaves a remainder")
-            quotient[g] = q
+    succ = _successors(full.m - 1, full.k)
+    l0 = next(ell for ell, a in enumerate(ints) if a)
+    a0, pivot = ints[l0], succ[l0]
+    others = [(succ[ell], ints[ell]) for ell in range(l0 + 1, full.k) if ints[ell]]
+    rest = list(full.counts)
+    quotient = [0] * len(pivot)
+    for x in range(len(pivot) - 1, -1, -1):
+        y = pivot[x]
+        q, rem = divmod(rest[y], a0)
+        if rem:
+            raise ValueError("row is not a factor of the law: "
+                             "a division leaves a remainder")
+        rest[y] = 0
+        quotient[x] = q
+        for s, a in others:
+            rest[s[x]] -= a * q
+    if any(rest):
+        raise ValueError("row is not a factor of the law: the quotient "
+                         "misses an unread cell")
     if min(quotient) < 0:
         raise ValueError("row is not a factor of the law: "
                          "the quotient has a negative count")

@@ -230,10 +230,11 @@ def n_independence_experiment(k: int, z_list: Sequence[int], n_list: Sequence[in
     tasks = [(k, z, str(alpha), n, trial,
               mix_trial_seed(base_seed, z, n, trial), denominator)
              for z in z_list for n in n_list for trial in range(trials)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))   # a forked pool starts every worker at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_trial, tasks, chunksize=8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_trial, tasks, chunksize=-(-len(tasks) // (4 * workers))))
     else:
         rows = [_run_trial(t) for t in tasks]
     return rows

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from anongames import (AnonymousGame, MixedProfile, RegretReport,
                        regret_profile, sum_distribution, tv_distance)
 from anongames.games import as_fraction, enumerate_partitions, partition_count
 from anongames.solver import _direct_support_gap
+from anongames import sumdist
 from anongames.sumdist import _fold, _payoff_numerators
 from anongames.tdp import floor_root_power
 from anongames.tvlab import (_poisson_pmf_truncated, _tv_aligned,
@@ -412,6 +417,60 @@ def test_leave_one_out_rejects_malformed_calls():
     with pytest.raises(ValueError):
         leave_one_out(sum_distribution([], k=2), (F(1, 2), F(1, 2)))
     assert leave_one_out(sum_distribution([(1,)] * 3), (1,)) == sum_distribution([(1,)] * 2)
+
+
+_PIVOT_OTHERS = {1: [(1,), (1,)],
+                 3: [(F(1, 2), F(1, 4), F(1, 4)), (0, F(1, 3), F(2, 3)),
+                     (F(1, 5), F(3, 5), F(1, 5))]}
+
+
+@pytest.mark.parametrize("row", [
+    (0, F(1, 2), F(1, 2)),          # a zero first entry
+    (0, 1, 0),                      # only a middle entry
+    (0, 0, 1),                      # only the last entry
+    (1,),                           # k = 1
+    (F(1, 10), F(3, 5), F(3, 10)),  # the first non-zero entry is the smallest
+    (F(1, 7), 0, F(6, 7)),          # a zero between the pivot and the rest
+])
+def test_leave_one_out_pivots_on_the_first_nonzero_entry(row):
+    others = _PIVOT_OTHERS[len(row)]
+    for j in range(len(others) + 1):
+        rows = others[:j] + [row] + others[j:]
+        full = sum_distribution(rows, k=len(row))
+        assert leave_one_out(full, row) == sum_distribution(others, k=len(row))
+
+
+def reference_successors(m, k):
+    """The dict-built successor table rank arithmetic replaced."""
+    rank = {part: r for r, part in enumerate(enumerate_partitions(m + 1, k))}
+    return tuple(tuple(rank[part[:ell] + (part[ell] + 1,) + part[ell + 1:]]
+                       for part in enumerate_partitions(m, k))
+                 for ell in range(k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.integers(0, 25 if k <= 4 else 12), st.just(k))))
+def test_successor_tables_match_the_dict_built_tables(case):
+    m, k = case
+    assert sumdist._successors(m, k) == reference_successors(m, k)
+    cached = sum(kk * len(t[0]) for (_, kk), t in sumdist._tables.items())
+    assert cached == sumdist._table_entries <= sumdist.TABLE_BUDGET
+
+
+def test_large_fold_keeps_its_tables_within_the_budget():
+    # a k=3 fold of 100 pure rows: the arithmetic is trivial, so the peak is
+    # the lattice tables; keeping every level's tables would hold about
+    # 19 MB, the budget holds about 5 MB
+    code = ("import tracemalloc; from anongames.sumdist import sum_distribution; "
+            "tracemalloc.start(); "
+            "sum_distribution([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0)] * 25, k=3); "
+            "print(tracemalloc.get_traced_memory()[1])")
+    env = dict(os.environ, PYTHONPATH=str(Path(sumdist.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 10 * 2 ** 20
 
 
 def test_sum_distribution_rejects_a_malformed_shape():

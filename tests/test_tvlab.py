@@ -242,6 +242,43 @@ def test_experiment_jobs_do_not_change_rows():
     assert rows_to_csv(rows1) == rows_to_csv(rows4)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool it was asked for
+    and maps in this process, so no worker is ever started."""
+
+    calls = []
+
+    def __init__(self, max_workers):
+        self.call = {"max_workers": max_workers}
+        _RecordingPool.calls.append(self.call)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.call["chunksize"] = chunksize
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, trials, pools", [
+    (64, 1, []),                                        # one task: no pool
+    (64, 3, [{"max_workers": 3, "chunksize": 1}]),      # never more workers than tasks
+    (2, 8, [{"max_workers": 2, "chunksize": 1}]),       # 8 tasks spread over both workers
+    (2, 24, [{"max_workers": 2, "chunksize": 3}]),
+])
+def test_experiment_pool_is_sized_by_its_tasks(monkeypatch, jobs, trials, pools):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "calls", [])
+    rows = n_independence_experiment(2, [5], [2], trials=trials, base_seed=3, jobs=jobs)
+    assert _RecordingPool.calls == pools
+    assert rows_to_csv(rows) == rows_to_csv(
+        n_independence_experiment(2, [5], [2], trials=trials, base_seed=3))
+
+
 def test_experiment_shares_profiles_across_z():
     rows = n_independence_experiment(2, [5, 10], [3], trials=3, base_seed=9)
     seeds_z5 = [r.seed for r in rows if r.z == 5]
